@@ -37,12 +37,6 @@ pub struct DecodeBatch {
     head: HeadConfig,
     tables: Vec<BlockTable>,
     dtype_bytes: usize,
-    /// Stable per-query identities (serving request ids), when the caller
-    /// has them. Row `q` of `tables` belongs to `query_ids[q]`. Purely
-    /// advisory: planning and timing never read them; the delta-planning
-    /// classifier ([`crate::classify_step_delta`]) uses them to match rows
-    /// across consecutive decode steps.
-    query_ids: Option<Vec<u64>>,
 }
 
 impl DecodeBatch {
@@ -67,30 +61,7 @@ impl DecodeBatch {
             head,
             tables,
             dtype_bytes,
-            query_ids: None,
         }
-    }
-
-    /// Attaches stable per-query identities (one per table row), enabling
-    /// delta classification across decode steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id count disagrees with the query count.
-    #[must_use]
-    pub fn with_query_ids(mut self, ids: Vec<u64>) -> Self {
-        assert_eq!(
-            ids.len(),
-            self.tables.len(),
-            "one query id per block-table row"
-        );
-        self.query_ids = Some(ids);
-        self
-    }
-
-    /// The stable per-query identities, when attached.
-    pub fn query_ids(&self) -> Option<&[u64]> {
-        self.query_ids.as_deref()
     }
 
     /// Consumes the batch, returning its block tables (allocation reuse:
@@ -98,13 +69,6 @@ impl DecodeBatch {
     /// vector instead of reallocating it).
     pub fn into_tables(self) -> Vec<BlockTable> {
         self.tables
-    }
-
-    /// Decomposes the batch into its table vector and query-id vector
-    /// (empty when no ids were attached) so callers can recycle both
-    /// allocations across steps.
-    pub fn into_scratch(self) -> (Vec<BlockTable>, Vec<u64>) {
-        (self.tables, self.query_ids.unwrap_or_default())
     }
 
     /// The attention head configuration.

@@ -20,114 +20,9 @@
 
 use crate::batch::DecodeBatch;
 use crate::fxhash::{FxHashMap, FxHasher};
-use kv_cache::{BlockId, BlockTable};
+use kv_cache::BlockId;
 use sim_gpu::GpuSpec;
 use std::hash::{Hash, Hasher};
-
-/// How one decode step's batch relates to the previous step's — the delta
-/// classification behind incremental planning (`pat_core::PlanState`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StepDelta {
-    /// Same queries, same block tables; only token counts may have grown.
-    /// The previous packing applies verbatim after a token refresh.
-    Unchanged,
-    /// The batch differs from its predecessor by chain-local edits only:
-    /// request completions, tail-block extensions of surviving requests,
-    /// and/or arrivals appended at the batch tail. The previous plan state
-    /// can be *patched* instead of rebuilt.
-    ChainLocal(StepPatch),
-    /// Anything else — rows reordered, tables rewritten (preemption and
-    /// re-admission with fresh blocks), shape changes, or no stable ids to
-    /// match rows by. Requires a from-scratch rebuild.
-    Structural,
-}
-
-/// The edit script of a [`StepDelta::ChainLocal`] step, in application
-/// order: completions (indices into the *previous* batch), then tail
-/// extensions (indices into the *new* batch), then arrivals.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StepPatch {
-    /// Completed requests, as ascending indices into the previous batch.
-    pub completed: Vec<usize>,
-    /// Surviving requests whose tables appended block(s), as ascending
-    /// indices into the new batch.
-    pub extended: Vec<usize>,
-    /// Newly arrived requests, all sitting at the new batch's tail.
-    pub arrived: usize,
-}
-
-/// Classifies `batch` against the previous step's `(prev_ids, prev_tables)`.
-///
-/// `ChainLocal` requires the surviving rows to keep their relative order
-/// (continuous batching removes completed rows and appends arrivals, so this
-/// holds in steady state) and each surviving table to be a pure tail
-/// extension of its predecessor. Token counts are never inspected — they are
-/// refreshed, not classified.
-///
-/// ```
-/// use attn_kernel::{classify_step_delta, DecodeBatch, StepDelta};
-/// use attn_math::HeadConfig;
-/// use kv_cache::{BlockId, BlockTable};
-///
-/// let head = HeadConfig::new(8, 4, 32);
-/// let t = |ids: &[u32], tokens| {
-///     BlockTable::new(ids.iter().map(|&i| BlockId(i)).collect(), tokens, 16)
-/// };
-/// let prev = [t(&[0, 1], 20), t(&[0, 2], 24)];
-/// // Request 10 finished; request 11 grew a block; request 12 arrived.
-/// let next = DecodeBatch::new(head, vec![t(&[0, 2, 5], 33), t(&[7], 4)], 2)
-///     .with_query_ids(vec![11, 12]);
-/// let StepDelta::ChainLocal(patch) = classify_step_delta(&[10, 11], &prev, &next) else {
-///     panic!("chain-local");
-/// };
-/// assert_eq!((patch.completed, patch.extended, patch.arrived), (vec![0], vec![0], 1));
-/// ```
-pub fn classify_step_delta(
-    prev_ids: &[u64],
-    prev_tables: &[BlockTable],
-    batch: &DecodeBatch,
-) -> StepDelta {
-    let Some(ids) = batch.query_ids() else {
-        return StepDelta::Structural;
-    };
-    let tables = batch.tables();
-    debug_assert_eq!(prev_ids.len(), prev_tables.len());
-    let mut patch = StepPatch::default();
-    let (mut oi, mut nj) = (0usize, 0usize);
-    while nj < ids.len() {
-        // Locate the new row's id among the not-yet-matched previous rows;
-        // anything skipped over completed. A miss means the arrival tail
-        // starts here (verified below).
-        let Some(d) = prev_ids[oi..].iter().position(|&x| x == ids[nj]) else {
-            break;
-        };
-        patch.completed.extend(oi..oi + d);
-        oi += d;
-        let (old, new) = (prev_tables[oi].blocks(), tables[nj].blocks());
-        if new.len() < old.len() || new[..old.len()] != *old {
-            return StepDelta::Structural;
-        }
-        if new.len() > old.len() {
-            patch.extended.push(nj);
-        }
-        oi += 1;
-        nj += 1;
-    }
-    patch.completed.extend(oi..prev_ids.len());
-    patch.arrived = ids.len() - nj;
-    // The arrival tail must be genuinely new: an old id resurfacing out of
-    // order (or duplicated) is a reorder, not an append.
-    for &id in &ids[nj..] {
-        if prev_ids.contains(&id) {
-            return StepDelta::Structural;
-        }
-    }
-    if patch.completed.is_empty() && patch.extended.is_empty() && patch.arrived == 0 {
-        StepDelta::Unchanged
-    } else {
-        StepDelta::ChainLocal(patch)
-    }
-}
 
 /// Separator mixed between per-request block lists so that moving a block
 /// across a table boundary changes the hash.
@@ -287,74 +182,6 @@ mod tests {
         assert_ne!(
             batch_timing_fingerprint(&a, &GpuSpec::a100_sxm4_80gb()),
             batch_timing_fingerprint(&a, &GpuSpec::h100_sxm5_80gb())
-        );
-    }
-
-    fn t(ids: &[u32], tokens: usize) -> BlockTable {
-        BlockTable::new(ids.iter().map(|&i| BlockId(i)).collect(), tokens, 16)
-    }
-
-    #[test]
-    fn classify_without_ids_is_structural() {
-        let prev = [t(&[0], 10)];
-        let next = batch(vec![t(&[0], 11)]);
-        assert_eq!(
-            classify_step_delta(&[1], &prev, &next),
-            StepDelta::Structural
-        );
-    }
-
-    #[test]
-    fn classify_token_growth_is_unchanged() {
-        let prev = [t(&[0, 1], 20), t(&[0, 2], 24)];
-        let next = batch(vec![t(&[0, 1], 21), t(&[0, 2], 25)]).with_query_ids(vec![7, 9]);
-        assert_eq!(
-            classify_step_delta(&[7, 9], &prev, &next),
-            StepDelta::Unchanged
-        );
-    }
-
-    #[test]
-    fn classify_boundary_crossing_is_an_extension() {
-        let prev = [t(&[0, 1], 32), t(&[0, 2], 30)];
-        let next = batch(vec![t(&[0, 1, 5], 33), t(&[0, 2], 31)]).with_query_ids(vec![7, 9]);
-        let StepDelta::ChainLocal(p) = classify_step_delta(&[7, 9], &prev, &next) else {
-            panic!("expected chain-local");
-        };
-        assert_eq!((p.completed, p.extended, p.arrived), (vec![], vec![0], 0));
-    }
-
-    #[test]
-    fn classify_mixed_completion_extension_arrival() {
-        let prev = [t(&[0, 1], 32), t(&[0, 2], 32), t(&[9], 8)];
-        let next = batch(vec![t(&[0, 2, 5], 33), t(&[9], 9), t(&[20], 3)])
-            .with_query_ids(vec![11, 12, 13]);
-        let StepDelta::ChainLocal(p) = classify_step_delta(&[10, 11, 12], &prev, &next) else {
-            panic!("expected chain-local");
-        };
-        assert_eq!((p.completed, p.extended, p.arrived), (vec![0], vec![0], 1));
-    }
-
-    #[test]
-    fn classify_rewrites_and_reorders_are_structural() {
-        let prev = [t(&[0, 1], 32), t(&[0, 2], 32)];
-        // Rewritten table (preemption + re-admission with fresh blocks).
-        let rewritten = batch(vec![t(&[3, 4], 32), t(&[0, 2], 32)]).with_query_ids(vec![7, 9]);
-        assert_eq!(
-            classify_step_delta(&[7, 9], &prev, &rewritten),
-            StepDelta::Structural
-        );
-        // Shrunk table.
-        let shrunk = batch(vec![t(&[0], 16), t(&[0, 2], 32)]).with_query_ids(vec![7, 9]);
-        assert_eq!(
-            classify_step_delta(&[7, 9], &prev, &shrunk),
-            StepDelta::Structural
-        );
-        // Reordered rows: id 7 resurfaces after id 9.
-        let reordered = batch(vec![t(&[0, 2], 32), t(&[0, 1], 32)]).with_query_ids(vec![9, 7]);
-        assert_eq!(
-            classify_step_delta(&[7, 9], &prev, &reordered),
-            StepDelta::Structural
         );
     }
 

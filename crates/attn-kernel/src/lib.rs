@@ -71,10 +71,7 @@ pub mod traffic;
 
 pub use backend::AttentionBackend;
 pub use batch::{DecodeBatch, KvStore, QueryActivations, FP16_BYTES};
-pub use fingerprint::{
-    batch_structure_fingerprint, batch_timing_fingerprint, classify_step_delta, StepDelta,
-    StepPatch,
-};
+pub use fingerprint::{batch_structure_fingerprint, batch_timing_fingerprint};
 pub use numeric::{execute_numeric, execute_numeric_parallel, reference_output, AttnOutput};
 pub use plan::{CtaPlan, KernelPlan, KvSlice, L2Affinity, PlanError};
 pub use step_cache::{StepSimCache, StepSimReport, StepSimStats, DEFAULT_STEP_CACHE_CAPACITY};

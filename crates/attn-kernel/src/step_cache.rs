@@ -21,19 +21,17 @@
 //! granularity.
 //!
 //! The cache is bounded, per-engine, and strictly deterministic: a
-//! `BTreeMap` with sequence-number LRU eviction, capacity from the
-//! `PAT_STEP_CACHE` environment variable (default 256, minimum 1). Worker
-//! threads never share a cache, so parallel fleet execution cannot affect
-//! hit patterns.
+//! `BTreeMap` with sequence-number LRU eviction and a fixed capacity of
+//! [`DEFAULT_STEP_CACHE_CAPACITY`] entries. Worker threads never share a
+//! cache, so parallel fleet execution cannot affect hit patterns.
 //!
-//! This module lives in `attn-kernel` (next to the fingerprint it keys on)
-//! so that both the serving engine and the `replica-fidelity` Replay
-//! backend can share it; `serving` re-exports the public items unchanged.
+//! This module lives in `attn-kernel`, next to the fingerprint it keys on;
+//! `serving` re-exports the public items unchanged.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// Default cache capacity when `PAT_STEP_CACHE` is unset.
+/// Capacity (entries) of every serving engine's step cache.
 pub const DEFAULT_STEP_CACHE_CAPACITY: usize = 256;
 
 /// The memoized slice of a simulated timing report — exactly the fields the
@@ -46,21 +44,13 @@ pub struct StepSimReport {
     pub scheduling_ns: f64,
 }
 
-/// Hit/miss counters of a [`StepSimCache`], plus the planning-reuse split
-/// of the miss path (how steps that did run the planner produced their
-/// packing: reused plan state vs a cold rebuild).
+/// Hit/miss counters of a [`StepSimCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StepSimStats {
     /// Decode steps whose timing was served from cache.
     pub hits: u64,
     /// Decode steps that ran the full plan + sim-gpu pipeline.
     pub misses: u64,
-    /// Miss-path steps whose packing reused plan state (a frozen replay or
-    /// an incremental delta patch) instead of a scratch rebuild.
-    pub plan_reuse_hits: u64,
-    /// Miss-path steps that rebuilt the packing from scratch (always the
-    /// case for stateless baseline backends).
-    pub plan_cold: u64,
 }
 
 impl StepSimStats {
@@ -74,37 +64,10 @@ impl StepSimStats {
         }
     }
 
-    /// Fraction of decode steps that missed the step cache but still reused
-    /// planning state (0 when none ran). Together with
-    /// [`StepSimStats::hit_rate`] and [`StepSimStats::plan_cold_rate`] this
-    /// forms the three-way split of Fig. 16: step-cache hit / plan-reuse
-    /// hit / cold plan.
-    pub fn plan_reuse_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_reuse_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of decode steps planned entirely from scratch (0 when none
-    /// ran).
-    pub fn plan_cold_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_cold as f64 / total as f64
-        }
-    }
-
     /// Accumulates another engine's counters (fleet-level aggregation).
     pub fn merge(&mut self, other: StepSimStats) {
         self.hits += other.hits;
         self.misses += other.misses;
-        self.plan_reuse_hits += other.plan_reuse_hits;
-        self.plan_cold += other.plan_cold;
     }
 }
 
@@ -134,14 +97,6 @@ impl StepSimCache {
             seq: 0,
             stats: StepSimStats::default(),
         }
-    }
-
-    /// Creates a cache sized from the `PAT_STEP_CACHE` knob (entries;
-    /// default [`DEFAULT_STEP_CACHE_CAPACITY`]).
-    pub fn from_env() -> Self {
-        let capacity =
-            sim_core::knobs::usize_knob("PAT_STEP_CACHE").unwrap_or(DEFAULT_STEP_CACHE_CAPACITY);
-        StepSimCache::new(capacity)
     }
 
     /// Looks up a step report, counting a hit or miss and refreshing LRU
@@ -178,17 +133,6 @@ impl StepSimCache {
         self.seq += 1;
         let last_used = self.seq;
         self.map.insert(key, Entry { report, last_used });
-    }
-
-    /// Records how a miss-path step produced its packing (called once per
-    /// step that actually invoked the planner): `true` when plan state was
-    /// reused (frozen replay or delta patch), `false` for a scratch rebuild.
-    pub fn note_plan(&mut self, reused: bool) {
-        if reused {
-            self.stats.plan_reuse_hits += 1;
-        } else {
-            self.stats.plan_cold += 1;
-        }
     }
 
     /// Hit/miss counters so far.
@@ -235,42 +179,7 @@ mod tests {
         assert_eq!(c.get((1, 1)), None);
         c.insert((1, 1), report(100.0));
         assert_eq!(c.get((1, 1)), Some(report(100.0)));
-        assert_eq!(
-            c.stats(),
-            StepSimStats {
-                hits: 1,
-                misses: 1,
-                ..StepSimStats::default()
-            }
-        );
-    }
-
-    #[test]
-    fn note_plan_splits_the_miss_path() {
-        let mut c = StepSimCache::new(4);
-        c.note_plan(true);
-        c.note_plan(true);
-        c.note_plan(false);
-        let s = c.stats();
-        assert_eq!(s.plan_reuse_hits, 2);
-        assert_eq!(s.plan_cold, 1);
-        // Rates are over all steps (hits + misses), not just the miss path.
-        let mut s = StepSimStats {
-            hits: 5,
-            misses: 5,
-            plan_reuse_hits: 4,
-            plan_cold: 1,
-        };
-        assert!((s.plan_reuse_rate() - 0.4).abs() < 1e-12);
-        assert!((s.plan_cold_rate() - 0.1).abs() < 1e-12);
-        s.merge(StepSimStats {
-            hits: 0,
-            misses: 2,
-            plan_reuse_hits: 1,
-            plan_cold: 1,
-        });
-        assert_eq!(s.plan_reuse_hits, 5);
-        assert_eq!(s.plan_cold, 2);
+        assert_eq!(c.stats(), StepSimStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -308,23 +217,14 @@ mod tests {
 
     #[test]
     fn hit_rate_and_merge() {
-        let mut a = StepSimStats {
-            hits: 8,
-            misses: 2,
-            ..StepSimStats::default()
-        };
+        let mut a = StepSimStats { hits: 8, misses: 2 };
         assert!((a.hit_rate() - 0.8).abs() < 1e-12);
-        a.merge(StepSimStats {
-            hits: 2,
-            misses: 8,
-            ..StepSimStats::default()
-        });
+        a.merge(StepSimStats { hits: 2, misses: 8 });
         assert_eq!(
             a,
             StepSimStats {
                 hits: 10,
-                misses: 10,
-                ..StepSimStats::default()
+                misses: 10
             }
         );
         assert_eq!(StepSimStats::default().hit_rate(), 0.0);

@@ -1,6 +1,6 @@
 //! # baselines — the seven comparator attention implementations of §8.2
 //!
-//! Each baseline is an [`AttentionBackend`](attn_kernel::AttentionBackend)
+//! Each baseline is an [`AttentionBackend`]
 //! re-implemented as its packing + tiling + launch policy over the shared
 //! simulator, with the paper's reported tile configurations and feature
 //! restrictions (missing bars in Fig. 11 reproduce via `supports`):

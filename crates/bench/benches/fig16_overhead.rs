@@ -3,12 +3,9 @@
 //! update mechanism the scheduler runs asynchronously; as long as its latency
 //! stays below the pre-attention window it adds no end-to-end latency.
 //!
-//! Each decode step now lands in one of three reuse classes (the three-way
-//! split of the step columns): a *step-cache hit* replays the memoized
-//! timing and runs no planner at all; a *plan-reuse hit* missed the step
-//! cache but reused planning state (a frozen packing or an incrementally
-//! patched forest, `PAT_PLAN_CACHE`); a *cold plan* rebuilt everything from
-//! scratch.
+//! A *step-cache hit* replays the memoized step timing and runs no planner
+//! at all; every other step invokes the lazy scheduler, which either reuses
+//! its frozen packing (*lazy hit*, §5.1) or plans cold.
 
 use pat_bench::{banner, save_json};
 use pat_core::LazyPat;
@@ -24,24 +21,14 @@ struct Row {
     mean_pre_attention_us: f64,
     reduction_pct: f64,
     lazy_hit_rate: f64,
-    lazy_delta_rate: f64,
     step_cache_hit_rate: f64,
-    plan_reuse_hit_rate: f64,
-    cold_plan_rate: f64,
 }
 
 fn main() {
     banner("Fig. 16 — pack-scheduler latency vs pre-attention task latency");
     println!(
-        "{:>14} {:>6} {:>16} {:>18} {:>12} {:>10} {:>10} {:>10}",
-        "trace",
-        "rate",
-        "scheduler (us)",
-        "pre-attn (us)",
-        "sched lower",
-        "step hits",
-        "plan reuse",
-        "cold plans"
+        "{:>14} {:>6} {:>16} {:>18} {:>12} {:>10} {:>10}",
+        "trace", "rate", "scheduler (us)", "pre-attn (us)", "sched lower", "step hits", "lazy hits"
     );
     let mut rows = Vec::new();
     for kind in [TraceKind::ToolAgent, TraceKind::Conversation] {
@@ -65,21 +52,17 @@ fn main() {
                 mean_pre_attention_us: mean(&pre) / 1000.0,
                 reduction_pct: (1.0 - mean(&sched) / mean(&pre)) * 100.0,
                 lazy_hit_rate: pat.stats().hit_rate(),
-                lazy_delta_rate: pat.stats().delta_rate(),
                 step_cache_hit_rate: result.step_sim.hit_rate(),
-                plan_reuse_hit_rate: result.step_sim.plan_reuse_rate(),
-                cold_plan_rate: result.step_sim.plan_cold_rate(),
             };
             println!(
-                "{:>14} {:>6.1} {:>16.1} {:>18.1} {:>11.1}% {:>9.0}% {:>9.0}% {:>9.0}%",
+                "{:>14} {:>6.1} {:>16.1} {:>18.1} {:>11.1}% {:>9.0}% {:>9.0}%",
                 row.trace,
                 row.rate,
                 row.mean_scheduler_us,
                 row.mean_pre_attention_us,
                 row.reduction_pct,
                 row.step_cache_hit_rate * 100.0,
-                row.plan_reuse_hit_rate * 100.0,
-                row.cold_plan_rate * 100.0
+                row.lazy_hit_rate * 100.0
             );
             rows.push(row);
         }

@@ -6,8 +6,7 @@
 //! scripted bursts) over disjoint prefix pools:
 //!
 //! 1. **Validation** — a small fleet serves the identical stream under each
-//!    [`Fidelity`] in turn. Replay must reproduce Exact bit for bit;
-//!    Analytical must land fleet TTFT/TPOT within
+//!    [`Fidelity`] in turn. Analytical must land fleet TTFT/TPOT within
 //!    [`ANALYTICAL_REL_ERROR_BOUND`] of Exact while running at least 10x
 //!    faster in wall-clock. These are the accuracy-vs-cost columns that
 //!    justify trusting the scale cell.
@@ -281,7 +280,7 @@ fn main() {
     let trace = day_trace(sc.validation_rates, sc.validation_duration_s, SEED);
     banner(&format!(
         "Fleet scale{} — validation: {} requests over {:.0} s on {} replicas, \
-         Exact vs Replay vs Analytical",
+         Exact vs Analytical",
         if smoke { " (smoke)" } else { "" },
         trace.requests.len(),
         sc.validation_duration_s,
@@ -297,21 +296,11 @@ fn main() {
         (result, t0.elapsed().as_secs_f64() * 1e3)
     };
     let (exact, exact_ms) = run_at(Fidelity::Exact);
-    let (replay, replay_ms) = run_at(Fidelity::Replay);
     let (analytical, analytical_ms) = run_at(Fidelity::Analytical);
-
-    // Replay is a cache, not a model: it must reproduce Exact bit for bit.
-    for (e, r) in exact.per_replica.iter().zip(&replay.per_replica) {
-        assert_eq!(
-            e.result.per_request, r.result.per_request,
-            "replay diverged from exact"
-        );
-    }
 
     let mut validation = Vec::new();
     for (fidelity, result, wall_ms) in [
         (Fidelity::Exact, &exact, exact_ms),
-        (Fidelity::Replay, &replay, replay_ms),
         (Fidelity::Analytical, &analytical, analytical_ms),
     ] {
         validation.push(FidelityRow {
@@ -354,7 +343,7 @@ fn main() {
         );
     }
 
-    let analytical_row = &validation[2];
+    let analytical_row = &validation[1];
     assert!(
         analytical_row.ttft_rel_err_vs_exact <= ANALYTICAL_REL_ERROR_BOUND
             && analytical_row.tpot_rel_err_vs_exact <= ANALYTICAL_REL_ERROR_BOUND,

@@ -266,9 +266,7 @@ mod tests {
             "override must be captured in the artifact: {overridden:?}"
         );
         assert!(
-            overridden
-                .iter()
-                .all(|(k, _)| k != "PAT_SIM_THREADS" && k != "PAT_STEP_CACHE"),
+            overridden.iter().all(|(k, _)| k != "PAT_SIM_THREADS"),
             "perf-only knobs must not appear in artifacts: {overridden:?}"
         );
         // Non-object payloads are wrapped so the snapshot always fits.

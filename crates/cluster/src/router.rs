@@ -5,8 +5,8 @@
 //! pick a replica index. The probes are strictly read-only (no LRU
 //! perturbation), so a router's observations never change any replica's
 //! behavior; only its placement decision does. Views are fidelity-agnostic:
-//! they wrap any [`ReplicaModel`], so the same policies route over exact,
-//! replay, and analytical replicas (and mixes of them) unchanged.
+//! they wrap any [`ReplicaModel`], so the same policies route over exact
+//! and analytical replicas (and mixes of them) unchanged.
 
 use replica_fidelity::ReplicaModel;
 use std::collections::hash_map::DefaultHasher;

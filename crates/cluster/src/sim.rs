@@ -13,9 +13,9 @@
 //! scratch on replica B.
 //!
 //! Replica fidelity is selectable per cluster (or per replica via
-//! [`Cluster::with_fidelities`]): exact kernel simulation, step-cache
-//! replay, or the calibrated analytical model — see the
-//! [`replica_fidelity`] crate. The driver logic is fidelity-blind.
+//! [`Cluster::with_fidelities`]): exact kernel simulation or the
+//! calibrated analytical model — see the [`replica_fidelity`] crate. The
+//! driver logic is fidelity-blind.
 //!
 //! Replicas with identical integer clocks advance in replica-index order —
 //! an exact guarantee under [`SimTime`], where equal instants compare equal

@@ -232,7 +232,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait SizeRange {
         /// Picks a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;

@@ -212,229 +212,6 @@ impl PrefixForest {
             })
             .sum()
     }
-
-    // ----- incremental maintenance (delta-planning, §5.1 extended) -----
-    //
-    // The operations below patch an already-built forest so that it stays
-    // *deeply equal* to `from_block_tables(tables)` for the updated tables —
-    // the invariant every caller relies on (and that the delta-planning
-    // proptests assert). They preserve the builder's canonical shape:
-    // zero-length leaves first in query order, then runs in ascending
-    // first-block order; maximal runs; singleton subtrees collapsed into one
-    // leaf. Operations that cannot restore that shape locally return `false`
-    // and the caller rebuilds from scratch.
-
-    /// Recomputes every node's `token_len` from the current tables. Per-node
-    /// closed form: with `m` the minimum member KV length, a run of `len`
-    /// blocks at block-depth `d` covers `clamp(m − d·bs, 0, len·bs)` tokens —
-    /// identical, in integer arithmetic, to the builder's per-position
-    /// min-over-sharers sum.
-    pub fn refresh_token_lens(&mut self, tables: &[BlockTable]) {
-        fn walk(node: &mut PrefixNode, depth: usize, tables: &[BlockTable], bs: usize) {
-            let m = node
-                .queries
-                .iter()
-                .map(|&q| tables[q].num_tokens())
-                .min()
-                .unwrap_or(0);
-            node.token_len = m.saturating_sub(depth * bs).min(node.blocks.len() * bs);
-            let child_depth = depth + node.blocks.len();
-            for child in &mut node.children {
-                walk(child, child_depth, tables, bs);
-            }
-        }
-        let Some(bs) = tables.first().map(BlockTable::block_size) else {
-            return;
-        };
-        for root in &mut self.roots {
-            walk(root, 0, tables, bs);
-        }
-    }
-
-    /// Patches the forest after query `q`'s table appended block(s) to its
-    /// private tail (`tables` is the updated batch). Returns `false` when the
-    /// change is not a pure tail extension of `q`'s own leaf — e.g. the new
-    /// block coincides with a sibling run's first block, which would extend a
-    /// shared run — in which case the caller must rebuild.
-    ///
-    /// Token lengths are *not* refreshed; run
-    /// [`refresh_token_lens`](Self::refresh_token_lens) after a batch of
-    /// patches.
-    pub fn extend_query(&mut self, q: usize, tables: &[BlockTable]) -> bool {
-        Self::extend_in(&mut self.roots, q, 0, tables)
-    }
-
-    fn extend_in(
-        nodes: &mut Vec<PrefixNode>,
-        q: usize,
-        depth: usize,
-        tables: &[BlockTable],
-    ) -> bool {
-        let Some(pos) = nodes
-            .iter()
-            .position(|n| n.queries.binary_search(&q).is_ok())
-        else {
-            return false;
-        };
-        if nodes[pos].queries.len() > 1 {
-            let child_depth = depth + nodes[pos].blocks.len();
-            return Self::extend_in(&mut nodes[pos].children, q, child_depth, tables);
-        }
-        let run: Vec<BlockId> = tables[q].blocks()[depth..].to_vec();
-        if !nodes[pos].blocks.is_empty() {
-            // `q`'s own leaf run: replace it with the table's current suffix.
-            // A pure append keeps the first block, so siblings stay disjoint.
-            if run.len() <= nodes[pos].blocks.len()
-                || run[..nodes[pos].blocks.len()] != nodes[pos].blocks[..]
-            {
-                return false;
-            }
-            nodes[pos].blocks = run;
-            return true;
-        }
-        // A zero-length leaf grew a real suffix: it leaves the query-ordered
-        // zero-leaf prefix and joins the block-ordered siblings. If its first
-        // block matches an existing sibling run, a scratch build would merge
-        // them — hand that (physically impossible for fresh allocations) case
-        // back to the rebuilder.
-        let Some(&first) = run.first() else {
-            return false;
-        };
-        if nodes.iter().any(|n| n.blocks.first() == Some(&first)) {
-            return false;
-        }
-        let mut leaf = nodes.remove(pos);
-        leaf.blocks = run;
-        let at = nodes
-            .iter()
-            .position(|n| n.blocks.first().is_some_and(|&b| b > first))
-            .unwrap_or(nodes.len());
-        nodes.insert(at, leaf);
-        true
-    }
-
-    /// Removes query `q` (an index into the *current* batch) and renumbers
-    /// the remaining queries down by one, matching a rebuilt forest over the
-    /// batch with row `q` deleted. Nodes left covering a single continuation
-    /// are re-collapsed into maximal runs.
-    ///
-    /// Ancestor token lengths may grow once the shortest sharer leaves; run
-    /// [`refresh_token_lens`](Self::refresh_token_lens) afterwards.
-    pub fn remove_query(&mut self, q: usize) {
-        Self::remove_in(&mut self.roots, q);
-        Self::shift_down(&mut self.roots, q);
-        self.num_queries -= 1;
-    }
-
-    fn remove_in(nodes: &mut Vec<PrefixNode>, q: usize) {
-        let Some(pos) = nodes
-            .iter()
-            .position(|n| n.queries.binary_search(&q).is_ok())
-        else {
-            return;
-        };
-        if nodes[pos].queries.len() == 1 {
-            nodes.remove(pos);
-            return;
-        }
-        let node = &mut nodes[pos];
-        if let Ok(i) = node.queries.binary_search(&q) {
-            node.queries.remove(i);
-        }
-        Self::remove_in(&mut node.children, q);
-        // Canonical shape: a node whose single child covers the same query
-        // set is one maximal run in a scratch build — merge them. Repeats
-        // until a fan-out (or leaf) is reached.
-        while node.children.len() == 1 && node.children[0].queries == node.queries {
-            let child = node.children.remove(0);
-            node.blocks.extend(child.blocks);
-            node.token_len += child.token_len;
-            node.children = child.children;
-        }
-    }
-
-    fn shift_down(nodes: &mut [PrefixNode], q: usize) {
-        for node in nodes {
-            for x in &mut node.queries {
-                if *x > q {
-                    *x -= 1;
-                }
-            }
-            Self::shift_down(&mut node.children, q);
-        }
-    }
-
-    /// Inserts a newly arrived query — row `self.num_queries()` of `tables`,
-    /// i.e. arrivals append at the batch tail — splitting runs where it
-    /// diverges mid-run.
-    ///
-    /// Token lengths of split/extended nodes are left stale; run
-    /// [`refresh_token_lens`](Self::refresh_token_lens) afterwards.
-    pub fn insert_query(&mut self, tables: &[BlockTable]) {
-        let q = self.num_queries;
-        Self::insert_in(&mut self.roots, q, 0, tables);
-        self.num_queries += 1;
-    }
-
-    fn insert_in(nodes: &mut Vec<PrefixNode>, q: usize, depth: usize, tables: &[BlockTable]) {
-        let leaf = |blocks: Vec<BlockId>| PrefixNode {
-            blocks,
-            token_len: 0,
-            queries: vec![q],
-            children: Vec::new(),
-        };
-        let Some(&b) = tables[q].blocks().get(depth) else {
-            // Exhausted at this depth: zero-length leaves sit before the
-            // block-ordered runs, in query order — and `q` is the largest
-            // index, so it goes last among them.
-            let at = nodes
-                .iter()
-                .position(|n| !n.blocks.is_empty())
-                .unwrap_or(nodes.len());
-            nodes.insert(at, leaf(Vec::new()));
-            return;
-        };
-        let Some(pos) = nodes.iter().position(|n| n.blocks.first() == Some(&b)) else {
-            // No run shares the first block: a fresh singleton leaf takes the
-            // whole remaining suffix, in ascending first-block order.
-            let at = nodes
-                .iter()
-                .position(|n| n.blocks.first().is_some_and(|&x| x > b))
-                .unwrap_or(nodes.len());
-            nodes.insert(at, leaf(tables[q].blocks()[depth..].to_vec()));
-            return;
-        };
-        let node = &mut nodes[pos];
-        // Common run length between `q`'s suffix and this node's run (≥ 1).
-        let mut k = 1;
-        while k < node.blocks.len() && tables[q].blocks().get(depth + k) == Some(&node.blocks[k]) {
-            k += 1;
-        }
-        if k < node.blocks.len() {
-            // Diverges mid-run: split the node at `k`. The tail keeps the old
-            // members and children; the head gains `q` and fans out to the
-            // tail plus `q`'s continuation.
-            let tail = PrefixNode {
-                blocks: node.blocks.split_off(k),
-                token_len: 0,
-                queries: node.queries.clone(),
-                children: std::mem::take(&mut node.children),
-            };
-            node.children.push(tail);
-        } else if node.children.is_empty() {
-            // Full match on a singleton leaf: its owner is exhausted exactly
-            // at the run's end and becomes a zero-length child.
-            let owner = node.queries[0];
-            node.children.push(PrefixNode {
-                blocks: Vec::new(),
-                token_len: 0,
-                queries: vec![owner],
-                children: Vec::new(),
-            });
-        }
-        node.queries.push(q); // largest index: list stays sorted
-        Self::insert_in(&mut node.children, q, depth + k, tables);
-    }
 }
 
 #[cfg(test)]
@@ -531,190 +308,5 @@ mod tests {
         let forest = PrefixForest::from_block_tables(&[]);
         assert!(forest.roots().is_empty());
         assert_eq!(forest.num_nodes(), 0);
-    }
-
-    // ----- incremental maintenance: patched forest == scratch rebuild -----
-
-    /// Patch-vs-rebuild oracle: after any delta operation (plus a token
-    /// refresh) the maintained forest must be *deeply equal* to a scratch
-    /// build over the updated tables.
-    fn assert_matches_scratch(forest: &PrefixForest, tables: &[BlockTable]) {
-        assert_eq!(
-            *forest,
-            PrefixForest::from_block_tables(tables),
-            "patched forest diverged from scratch build"
-        );
-    }
-
-    #[test]
-    fn refresh_token_lens_tracks_token_growth() {
-        let mut tables = vec![table(&[0, 1, 2], 40), table(&[0, 1, 3], 44)];
-        let mut forest = PrefixForest::from_block_tables(&tables);
-        for grow in 1..=4 {
-            tables = vec![table(&[0, 1, 2], 40 + grow), table(&[0, 1, 3], 44 + grow)];
-            forest.refresh_token_lens(&tables);
-            assert_matches_scratch(&forest, &tables);
-        }
-    }
-
-    #[test]
-    fn extend_replaces_a_singleton_leaf_run() {
-        let mut tables = vec![table(&[0, 1, 2], 48), table(&[0, 1, 3], 48)];
-        let mut forest = PrefixForest::from_block_tables(&tables);
-        tables[0] = table(&[0, 1, 2, 9], 49);
-        assert!(forest.extend_query(0, &tables));
-        forest.refresh_token_lens(&tables);
-        assert_matches_scratch(&forest, &tables);
-    }
-
-    #[test]
-    fn extend_promotes_a_zero_length_leaf() {
-        // Query 1 is a strict prefix of query 0: its leaf is zero-length.
-        // Growing it into a fresh block moves it among the block-ordered
-        // siblings of the shared node.
-        let mut tables = vec![table(&[0, 1, 2], 48), table(&[0, 1], 32)];
-        let mut forest = PrefixForest::from_block_tables(&tables);
-        tables[1] = table(&[0, 1, 7], 33);
-        assert!(forest.extend_query(1, &tables));
-        forest.refresh_token_lens(&tables);
-        assert_matches_scratch(&forest, &tables);
-    }
-
-    #[test]
-    fn extend_onto_a_sibling_run_bails_out() {
-        // Query 1's new block equals query 0's continuation: a scratch build
-        // would extend the shared run, which the local patch cannot do.
-        let mut tables = vec![table(&[0, 1, 2], 48), table(&[0, 1], 32)];
-        let mut forest = PrefixForest::from_block_tables(&tables);
-        tables[1] = table(&[0, 1, 2], 33);
-        assert!(!forest.extend_query(1, &tables));
-    }
-
-    #[test]
-    fn remove_collapses_the_orphaned_run() {
-        let tables = vec![
-            table(&[0, 1, 2], 48),
-            table(&[0, 1, 3], 48),
-            table(&[0, 4], 32),
-        ];
-        let mut forest = PrefixForest::from_block_tables(&tables);
-        // Removing query 2 leaves [0] + [1] as one maximal shared run.
-        let remaining = vec![tables[0].clone(), tables[1].clone()];
-        forest.remove_query(2);
-        forest.refresh_token_lens(&remaining);
-        assert_matches_scratch(&forest, &remaining);
-        // Removing query 1 (old index; now renumbered) collapses to a single
-        // leaf holding query 0's entire table.
-        let solo = vec![remaining[0].clone()];
-        forest.remove_query(1);
-        forest.refresh_token_lens(&solo);
-        assert_matches_scratch(&forest, &solo);
-        assert_eq!(forest.roots().len(), 1);
-        assert!(forest.roots()[0].is_leaf());
-    }
-
-    #[test]
-    fn remove_shortest_sharer_regrows_run_tokens() {
-        // Query 1 limits the shared run's token count; dropping it must
-        // restore query 0's full coverage.
-        let tables = vec![table(&[0, 1], 30), table(&[0, 1], 20)];
-        let mut forest = PrefixForest::from_block_tables(&tables);
-        assert_eq!(forest.roots()[0].token_len, 20);
-        let solo = vec![tables[0].clone()];
-        forest.remove_query(1);
-        forest.refresh_token_lens(&solo);
-        assert_matches_scratch(&forest, &solo);
-        assert_eq!(forest.roots()[0].token_len, 30);
-    }
-
-    #[test]
-    fn insert_splits_runs_and_orders_siblings() {
-        let mut tables = vec![table(&[0, 1, 2, 3], 64), table(&[10, 11], 32)];
-        let mut forest = PrefixForest::from_block_tables(&tables);
-        // Diverges inside query 0's run: the [0,1,2,3] leaf splits at 2.
-        tables.push(table(&[0, 1, 9], 44));
-        forest.insert_query(&tables);
-        forest.refresh_token_lens(&tables);
-        assert_matches_scratch(&forest, &tables);
-        // Exhausts exactly at a run boundary: zero-length leaf, query order.
-        tables.push(table(&[0, 1], 32));
-        forest.insert_query(&tables);
-        forest.refresh_token_lens(&tables);
-        assert_matches_scratch(&forest, &tables);
-        // Entirely disjoint: a new root in ascending first-block order.
-        tables.push(table(&[5, 6], 18));
-        forest.insert_query(&tables);
-        forest.refresh_token_lens(&tables);
-        assert_matches_scratch(&forest, &tables);
-    }
-
-    #[test]
-    fn random_delta_sequences_match_scratch_builds() {
-        // Deterministic xorshift so the sequence is stable across runs.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rng = move |n: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % n as u64) as usize
-        };
-        let bs = 16;
-        let mut next_block = 1000u32;
-        let mut tables: Vec<BlockTable> =
-            vec![table(&[0, 1, 2], 41), table(&[0, 1, 3], 37), table(&[7], 9)];
-        let mut forest = PrefixForest::from_block_tables(&tables);
-        for _ in 0..300 {
-            match rng(10) {
-                // Arrival: shares a random existing prefix (or none).
-                0 | 1 => {
-                    let mut ids: Vec<u32> = if tables.is_empty() || rng(3) == 0 {
-                        Vec::new()
-                    } else {
-                        let donor = tables[rng(tables.len())].clone();
-                        let take = rng(donor.blocks().len() + 1);
-                        donor.blocks()[..take].iter().map(|b| b.0).collect()
-                    };
-                    for _ in 0..rng(3) {
-                        next_block += 1;
-                        ids.push(next_block);
-                    }
-                    if ids.is_empty() {
-                        next_block += 1;
-                        ids.push(next_block);
-                    }
-                    let tokens = (ids.len() - 1) * bs + 1 + rng(bs);
-                    tables.push(table(&ids, tokens));
-                    forest.insert_query(&tables);
-                }
-                // Completion.
-                2 | 3 if tables.len() > 1 => {
-                    let q = rng(tables.len());
-                    tables.remove(q);
-                    forest.remove_query(q);
-                }
-                // Token growth, appending a fresh block past a boundary.
-                _ => {
-                    let q = rng(tables.len());
-                    let t = &tables[q];
-                    if t.num_tokens() < t.blocks().len() * bs {
-                        tables[q] = table(
-                            &t.blocks().iter().map(|b| b.0).collect::<Vec<_>>(),
-                            t.num_tokens() + 1,
-                        );
-                    } else {
-                        next_block += 1;
-                        let mut ids: Vec<u32> = t.blocks().iter().map(|b| b.0).collect();
-                        ids.push(next_block);
-                        let tokens = t.num_tokens() + 1;
-                        tables[q] = table(&ids, tokens);
-                        if !forest.extend_query(q, &tables) {
-                            forest = PrefixForest::from_block_tables(&tables);
-                        }
-                    }
-                }
-            }
-            forest.refresh_token_lens(&tables);
-            assert_matches_scratch(&forest, &tables);
-        }
     }
 }

@@ -119,10 +119,9 @@ impl PatBackend {
         self.pack_from_forest(&batch.forest(), batch.head().group_size())
     }
 
-    /// The pack stage over an already-built forest. The delta-planning path
-    /// ([`crate::LazyPat`] with [`crate::PlanState`]) maintains the forest
-    /// incrementally across decode steps and packs it here without the
-    /// per-step rebuild that [`PatBackend::pack`] performs.
+    /// The pack stage over an already-built forest. [`crate::LazyPat`]
+    /// builds the forest once per cold plan and shares it between packing
+    /// and its scheduling-cost estimate.
     pub fn pack_from_forest(&self, forest: &PrefixForest, group_size: usize) -> Vec<Pack> {
         match self.config.packing {
             PackingPolicy::MemoryProfit => pack_forest(forest),
@@ -251,10 +250,11 @@ impl PatBackend {
 }
 
 /// [`PatBackend::scheduling_cost_ns`] from precomputed forest statistics.
-/// The lazy scheduler evaluates this against its maintained forest so cost
-/// accounting needs no second per-step forest build; the formula (and hence
-/// the reported f64) is bit-identical to the batch-walking form.
-pub fn scheduling_cost_from_counts(nodes: usize, blocks: usize) -> f64 {
+/// The lazy scheduler evaluates this against the forest it just planned
+/// from, so cost accounting needs no second per-step forest build; the
+/// formula (and hence the reported f64) is bit-identical to the
+/// batch-walking form.
+pub(crate) fn scheduling_cost_from_counts(nodes: usize, blocks: usize) -> f64 {
     1_000.0 + 80.0 * nodes as f64 + 2.0 * blocks as f64
 }
 

@@ -10,11 +10,24 @@
 
 use crate::backend::{scheduling_cost_from_counts, PatBackend};
 use crate::packer::Pack;
-use crate::plan_state::{plan_cache_enabled, PlanReuse, PlanState};
 use crate::selector::TileError;
 use attn_kernel::{DecodeBatch, KernelPlan};
 use kv_cache::PrefixForest;
 use sim_gpu::GpuSpec;
+
+/// How the most recent [`LazyPat`] plan was produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanReuse {
+    /// Cached packs replayed verbatim (structure-fingerprint hit).
+    Frozen,
+    /// Never produced. It named an incremental forest-patching tier that
+    /// measured no end-to-end gain and was removed; every structure miss
+    /// now plans [`PlanReuse::Cold`]. The variant stays so that exhaustive
+    /// matches over the enum keep compiling.
+    DeltaPatched,
+    /// Full forest rebuild and re-pack.
+    Cold,
+}
 
 /// Cache statistics of the lazy scheduler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -22,44 +35,18 @@ pub struct LazyStats {
     /// Plans served from cache with frozen pack decisions (structure
     /// fingerprint hit).
     pub hits: u64,
-    /// Plans re-packed from the incrementally patched forest (structure
-    /// miss classified as chain-local; no forest rebuild).
-    pub delta_hits: u64,
     /// Full scheduler invocations (forest rebuild + re-pack).
     pub misses: u64,
 }
 
 impl LazyStats {
-    fn total(&self) -> u64 {
-        self.hits + self.delta_hits + self.misses
-    }
-
     /// Fraction of decode steps that reused a cached packing verbatim.
     pub fn hit_rate(&self) -> f64 {
-        if self.total() == 0 {
+        let total = self.hits + self.misses;
+        if total == 0 {
             0.0
         } else {
-            self.hits as f64 / self.total() as f64
-        }
-    }
-
-    /// Fraction of decode steps that patched the maintained forest instead
-    /// of rebuilding it (delta-planning hits).
-    pub fn delta_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.delta_hits as f64 / self.total() as f64
-        }
-    }
-
-    /// Fraction of decode steps that avoided a scratch forest rebuild —
-    /// frozen replays plus delta patches.
-    pub fn reuse_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            (self.hits + self.delta_hits) as f64 / self.total() as f64
+            self.hits as f64 / total as f64
         }
     }
 }
@@ -91,8 +78,6 @@ impl LazyStats {
 pub struct LazyPat {
     backend: PatBackend,
     cached: Option<(u64, Vec<Pack>)>,
-    state: Option<PlanState>,
-    delta_enabled: bool,
     last_reuse: Option<PlanReuse>,
     last_cost_ns: Option<f64>,
     stats: LazyStats,
@@ -110,15 +95,11 @@ impl LazyPat {
         LazyPat::with_backend(PatBackend::default())
     }
 
-    /// Creates a lazy scheduler around a configured backend. Delta-planning
-    /// is governed by `PAT_PLAN_CACHE` (performance-only; plans are
-    /// identical with it on or off).
+    /// Creates a lazy scheduler around a configured backend.
     pub fn with_backend(backend: PatBackend) -> Self {
         LazyPat {
             backend,
             cached: None,
-            state: None,
-            delta_enabled: plan_cache_enabled(),
             last_reuse: None,
             last_cost_ns: None,
             stats: LazyStats::default(),
@@ -129,15 +110,6 @@ impl LazyPat {
     /// policy from `PAT_TILE_POLICY`).
     pub fn from_env() -> Self {
         LazyPat::with_backend(PatBackend::from_env())
-    }
-
-    /// Overrides the `PAT_PLAN_CACHE` decision for this scheduler (A/B
-    /// lever for benches and tests that must not touch process-global knob
-    /// state).
-    #[must_use]
-    pub fn with_plan_cache(mut self, enabled: bool) -> Self {
-        self.delta_enabled = enabled;
-        self
     }
 
     /// The wrapped backend.
@@ -154,11 +126,6 @@ impl LazyPat {
     /// `None` before the first plan.
     pub fn last_plan_reuse(&self) -> Option<PlanReuse> {
         self.last_reuse
-    }
-
-    /// Whether incremental delta-planning is active on this scheduler.
-    pub fn plan_cache_active(&self) -> bool {
-        self.delta_enabled
     }
 
     /// CPU-side pack-scheduler cost for `batch`, reusing the forest node
@@ -203,15 +170,6 @@ impl LazyPat {
             Some((cached_key, packs)) if *cached_key == key => {
                 self.stats.hits += 1;
                 self.last_reuse = Some(PlanReuse::Frozen);
-                // A same-structure step cannot change query identities in
-                // place, but a caller may stop attaching ids (or swap id
-                // spaces); desynchronized state must not classify later
-                // deltas.
-                if let (Some(state), Some(ids)) = (&self.state, batch.query_ids()) {
-                    if state.ids() != ids {
-                        self.state = None;
-                    }
-                }
                 let mut packs = packs.clone();
                 for p in &mut packs {
                     p.refresh_tokens(batch.tables());
@@ -219,7 +177,14 @@ impl LazyPat {
                 packs
             }
             _ => {
-                let packs = self.plan_packs(batch);
+                self.stats.misses += 1;
+                self.last_reuse = Some(PlanReuse::Cold);
+                let forest = PrefixForest::from_block_tables(batch.tables());
+                let blocks: usize = batch.tables().iter().map(|t| t.blocks().len()).sum();
+                self.last_cost_ns = Some(scheduling_cost_from_counts(forest.num_nodes(), blocks));
+                let packs = self
+                    .backend
+                    .pack_from_forest(&forest, batch.head().group_size());
                 self.cached = Some((key, packs.clone()));
                 packs
             }
@@ -227,45 +192,9 @@ impl LazyPat {
         self.backend.try_finish_plan(batch, packs, spec)
     }
 
-    /// The structure-miss pack path: patch the maintained forest when the
-    /// step's delta is chain-local, rebuild from scratch otherwise.
-    fn plan_packs(&mut self, batch: &DecodeBatch) -> Vec<Pack> {
-        let group_size = batch.head().group_size();
-        if self.delta_enabled {
-            if let Some(mut state) = self.state.take() {
-                if state.advance(batch) {
-                    self.stats.delta_hits += 1;
-                    self.last_reuse = Some(PlanReuse::DeltaPatched);
-                    self.note_cost(state.forest(), batch);
-                    let packs = self.backend.pack_from_forest(state.forest(), group_size);
-                    self.state = Some(state);
-                    return packs;
-                }
-                // Structural step (or unpatchable edge): the state may be
-                // partially patched — drop it and re-capture below.
-            }
-        }
-        self.stats.misses += 1;
-        self.last_reuse = Some(PlanReuse::Cold);
-        let forest = PrefixForest::from_block_tables(batch.tables());
-        self.note_cost(&forest, batch);
-        let packs = self.backend.pack_from_forest(&forest, group_size);
-        if self.delta_enabled {
-            self.state = PlanState::capture(batch, forest);
-        }
-        packs
-    }
-
-    fn note_cost(&mut self, forest: &PrefixForest, batch: &DecodeBatch) {
-        let blocks: usize = batch.tables().iter().map(|t| t.blocks().len()).sum();
-        self.last_cost_ns = Some(scheduling_cost_from_counts(forest.num_nodes(), blocks));
-    }
-
-    /// Drops the cached packing and maintained plan state (e.g. on engine
-    /// reconfiguration).
+    /// Drops the cached packing (e.g. on engine reconfiguration).
     pub fn invalidate(&mut self) {
         self.cached = None;
-        self.state = None;
         self.last_cost_ns = None;
     }
 }
@@ -303,14 +232,7 @@ mod tests {
         let p1 = lazy.plan(&batch(&[(&[0, 1], 20), (&[0, 2], 24)]), &spec);
         let b2 = batch(&[(&[0, 1], 21), (&[0, 2], 25)]);
         let p2 = lazy.plan(&b2, &spec);
-        assert_eq!(
-            lazy.stats(),
-            LazyStats {
-                hits: 1,
-                delta_hits: 0,
-                misses: 1
-            }
-        );
+        assert_eq!(lazy.stats(), LazyStats { hits: 1, misses: 1 });
         // Refreshed plan covers the new token counts exactly.
         p2.validate(&b2).unwrap();
         let t1: usize = p1.ctas.iter().map(|c| c.kv.tokens * c.queries.len()).sum();
@@ -326,16 +248,7 @@ mod tests {
         // Query 0 rolled into a fresh block: structure changed.
         let b = batch(&[(&[0, 1, 7], 33), (&[0, 2], 32)]);
         let p = lazy.plan(&b, &spec);
-        // Without query ids there is no plan state to patch: both steps are
-        // full scheduler invocations.
-        assert_eq!(
-            lazy.stats(),
-            LazyStats {
-                hits: 0,
-                delta_hits: 0,
-                misses: 2
-            }
-        );
+        assert_eq!(lazy.stats(), LazyStats { hits: 0, misses: 2 });
         p.validate(&b).unwrap();
     }
 
@@ -360,111 +273,14 @@ mod tests {
         lazy.plan(&b, &spec);
         lazy.invalidate();
         lazy.plan(&b, &spec);
-        assert_eq!(
-            lazy.stats(),
-            LazyStats {
-                hits: 0,
-                delta_hits: 0,
-                misses: 2
-            }
-        );
-    }
-
-    fn batch_with_ids(rows: &[(&[u32], usize)], ids: &[u64]) -> DecodeBatch {
-        batch(rows).with_query_ids(ids.to_vec())
-    }
-
-    #[test]
-    fn chain_local_steps_patch_instead_of_rebuilding() {
-        let spec = GpuSpec::a100_sxm4_80gb();
-        let mut lazy = LazyPat::new();
-        lazy.plan(
-            &batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32), (&[5], 10)], &[7, 8, 9]),
-            &spec,
-        );
-        // Request 7 crosses a block boundary; 9 completes; 11 arrives.
-        let b = batch_with_ids(
-            &[(&[0, 1, 3], 33), (&[0, 2], 32), (&[6, 7], 20)],
-            &[7, 8, 11],
-        );
-        let patched = lazy.plan(&b, &spec);
-        assert_eq!(
-            lazy.stats(),
-            LazyStats {
-                hits: 0,
-                delta_hits: 1,
-                misses: 1
-            }
-        );
-        assert_eq!(lazy.last_plan_reuse(), Some(crate::PlanReuse::DeltaPatched));
-        // The patched plan is identical to what a cold scheduler produces.
-        assert_eq!(patched, LazyPat::new().plan(&b, &spec));
-    }
-
-    #[test]
-    fn disabled_plan_cache_always_rebuilds() {
-        let spec = GpuSpec::a100_sxm4_80gb();
-        let mut lazy = LazyPat::new().with_plan_cache(false);
-        assert!(!lazy.plan_cache_active());
-        lazy.plan(
-            &batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32)], &[1, 2]),
-            &spec,
-        );
-        let b = batch_with_ids(&[(&[0, 1, 3], 33), (&[0, 2], 32)], &[1, 2]);
-        let p = lazy.plan(&b, &spec);
-        assert_eq!(
-            lazy.stats(),
-            LazyStats {
-                hits: 0,
-                delta_hits: 0,
-                misses: 2
-            }
-        );
-        assert_eq!(lazy.last_plan_reuse(), Some(crate::PlanReuse::Cold));
-        // Same plan as the delta path: the knob is performance-only.
-        let mut with_cache = LazyPat::new().with_plan_cache(true);
-        with_cache.plan(
-            &batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32)], &[1, 2]),
-            &spec,
-        );
-        assert_eq!(p, with_cache.plan(&b, &spec));
-    }
-
-    #[test]
-    fn id_swap_on_frozen_hit_drops_the_state() {
-        let spec = GpuSpec::a100_sxm4_80gb();
-        let mut lazy = LazyPat::new().with_plan_cache(true);
-        lazy.plan(
-            &batch_with_ids(&[(&[0, 1], 31), (&[0, 2], 31)], &[1, 2]),
-            &spec,
-        );
-        // Same structure, different identities: frozen hit, but the state
-        // must not classify later deltas against the stale ids.
-        lazy.plan(
-            &batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32)], &[3, 4]),
-            &spec,
-        );
-        assert_eq!(lazy.last_plan_reuse(), Some(crate::PlanReuse::Frozen));
-        // Chain-local-looking step now goes cold (no state to patch).
-        lazy.plan(
-            &batch_with_ids(&[(&[0, 1, 5], 33), (&[0, 2], 32)], &[3, 4]),
-            &spec,
-        );
-        assert_eq!(
-            lazy.stats(),
-            LazyStats {
-                hits: 1,
-                delta_hits: 0,
-                misses: 2
-            }
-        );
+        assert_eq!(lazy.stats(), LazyStats { hits: 0, misses: 2 });
     }
 
     #[test]
     fn scheduling_cost_matches_backend_formula() {
         let spec = GpuSpec::a100_sxm4_80gb();
         let mut lazy = LazyPat::new();
-        let b0 = batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32)], &[1, 2]);
+        let b0 = batch(&[(&[0, 1], 30), (&[0, 2], 30)]);
         // Before any plan: falls back to the batch-walking form.
         assert_eq!(
             lazy.scheduling_cost_ns(&b0),
@@ -475,11 +291,18 @@ mod tests {
             lazy.scheduling_cost_ns(&b0),
             lazy.backend().scheduling_cost_ns(&b0)
         );
-        // After a delta-patched step the recorded cost still matches the
-        // scratch formula bit-for-bit.
-        let b1 = batch_with_ids(&[(&[0, 1, 4], 33), (&[0, 2], 32)], &[1, 2]);
+        // A frozen hit serves the cost recorded by the cold plan; after the
+        // next cold plan it matches the scratch formula bit for bit again.
+        let grown = batch(&[(&[0, 1], 31), (&[0, 2], 31)]);
+        lazy.plan(&grown, &spec);
+        assert_eq!(lazy.last_plan_reuse(), Some(PlanReuse::Frozen));
+        assert_eq!(
+            lazy.scheduling_cost_ns(&grown),
+            lazy.backend().scheduling_cost_ns(&grown)
+        );
+        let b1 = batch(&[(&[0, 1, 4], 33), (&[0, 2], 32)]);
         lazy.plan(&b1, &spec);
-        assert_eq!(lazy.stats().delta_hits, 1);
+        assert_eq!(lazy.last_plan_reuse(), Some(PlanReuse::Cold));
         assert_eq!(
             lazy.scheduling_cost_ns(&b1),
             lazy.backend().scheduling_cost_ns(&b1)

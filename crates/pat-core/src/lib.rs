@@ -51,7 +51,6 @@ pub mod exact;
 mod explain;
 mod lazy;
 mod packer;
-mod plan_state;
 mod policy;
 mod profiler;
 pub mod profit;
@@ -59,11 +58,10 @@ mod selector;
 mod split;
 mod tiles;
 
-pub use backend::{scheduling_cost_from_counts, PackingPolicy, PatBackend, PatConfig};
+pub use backend::{PackingPolicy, PatBackend, PatConfig};
 pub use explain::{explain_pack, render_decisions, PackDecision};
-pub use lazy::{structure_fingerprint, LazyPat, LazyStats};
+pub use lazy::{structure_fingerprint, LazyPat, LazyStats, PlanReuse};
 pub use packer::{enforce_row_limit, pack_batch, pack_forest, Pack};
-pub use plan_state::{plan_cache_enabled, PlanReuse, PlanState};
 pub use policy::{
     generate_tile_cache, tile_policy_from_env, AutotunedPolicy, HeuristicPolicy, TileCache,
     TileCacheEntry, TileContext, TilePolicy, TilePolicyKind, COMMITTED_TILE_CACHE_JSON, KV_BUCKETS,

@@ -1,5 +1,4 @@
-//! Exact and Replay fidelities: the full serving engine, with a bounded or
-//! unbounded step-simulation cache.
+//! The Exact fidelity: the full serving engine over the kernel simulator.
 
 use crate::{Fidelity, ReplicaModel};
 use kv_cache::{CacheManager, IngestReport, Token};
@@ -10,24 +9,16 @@ use serving::{
 use sim_core::SimTime;
 use workloads::Request;
 
-/// Step-cache capacity of a [`ReplayReplica`]: effectively unbounded, so a
-/// structurally distinct decode step is simulated exactly once per run and
-/// replayed thereafter — timing replay never loses entries to eviction.
-pub const REPLAY_STEP_CACHE_CAPACITY: usize = usize::MAX / 2;
-
 /// The reference fidelity: a full [`ServingEngine`] over the kernel
-/// simulator, with the engine's default (bounded, `PAT_STEP_CACHE`-sized)
-/// step-simulation cache.
+/// simulator, with the engine's bounded step-simulation cache.
 pub struct ExactReplica {
     engine: ServingEngine,
     backend: Box<dyn ServingAttention>,
-    fidelity: Fidelity,
 }
 
 impl std::fmt::Debug for ExactReplica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExactReplica")
-            .field("fidelity", &self.fidelity)
             .field("clock", &self.engine.clock())
             .field("outstanding", &self.engine.outstanding())
             .finish_non_exhaustive()
@@ -40,7 +31,6 @@ impl ExactReplica {
         ExactReplica {
             engine: ServingEngine::new(config),
             backend,
-            fidelity: Fidelity::Exact,
         }
     }
 
@@ -51,50 +41,9 @@ impl ExactReplica {
     }
 }
 
-/// Replay fidelity: identical engine and scheduler, but the step-simulation
-/// cache is unbounded ([`REPLAY_STEP_CACHE_CAPACITY`]), so each structurally
-/// distinct decode step runs the kernel simulator once and is replayed from
-/// the cached timing report forever after.
-///
-/// Replay is bit-identical to [`ExactReplica`] whenever the bounded default
-/// cache would not have evicted (lockstep decode, small working sets); on
-/// eviction-heavy workloads it differs only by *which* steps pay the
-/// simulator, never by the timing a given structure receives — and it is
-/// never slower than exact.
-pub struct ReplayReplica {
-    inner: ExactReplica,
-}
-
-impl std::fmt::Debug for ReplayReplica {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplayReplica")
-            .field("clock", &self.inner.engine.clock())
-            .field("outstanding", &self.inner.engine.outstanding())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ReplayReplica {
-    /// A fresh replay replica with an empty KV cache and an unbounded step
-    /// cache.
-    pub fn new(config: ServingConfig, backend: Box<dyn ServingAttention>) -> Self {
-        let mut inner = ExactReplica::new(config, backend);
-        inner
-            .engine
-            .set_step_cache_capacity(REPLAY_STEP_CACHE_CAPACITY);
-        inner.fidelity = Fidelity::Replay;
-        ReplayReplica { inner }
-    }
-
-    /// The wrapped engine (read-only).
-    pub fn engine(&self) -> &ServingEngine {
-        &self.inner.engine
-    }
-}
-
 impl ReplicaModel for ExactReplica {
     fn fidelity(&self) -> Fidelity {
-        self.fidelity
+        Fidelity::Exact
     }
 
     fn submit(&mut self, request: Request) {
@@ -188,103 +137,5 @@ impl ReplicaModel for ExactReplica {
 
     fn into_result(self: Box<Self>) -> SimulationResult {
         self.engine.into_result()
-    }
-}
-
-impl ReplicaModel for ReplayReplica {
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Replay
-    }
-
-    fn submit(&mut self, request: Request) {
-        self.inner.submit(request);
-    }
-
-    fn step(&mut self) -> StepOutcome {
-        self.inner.step()
-    }
-
-    fn clock(&self) -> SimTime {
-        self.inner.clock()
-    }
-
-    fn config(&self) -> &ServingConfig {
-        self.inner.config()
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.inner.queue_depth()
-    }
-
-    fn num_active(&self) -> usize {
-        self.inner.num_active()
-    }
-
-    fn outstanding(&self) -> usize {
-        self.inner.outstanding()
-    }
-
-    fn cache(&self) -> Option<&CacheManager> {
-        self.inner.cache()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize {
-        self.inner.prefix_overlap_tokens(prompt_tokens)
-    }
-
-    fn cache_hit_rate(&self) -> f64 {
-        self.inner.cache_hit_rate()
-    }
-
-    fn cache_hit_miss_tokens(&self) -> (u64, u64) {
-        self.inner.cache_hit_miss_tokens()
-    }
-
-    fn resident_block_hashes(&self) -> Vec<u64> {
-        self.inner.resident_block_hashes()
-    }
-
-    fn ingest_prefix(&mut self, tokens: &[Token]) -> IngestReport {
-        self.inner.ingest_prefix(tokens)
-    }
-
-    fn cost_model(&self) -> &CostModel {
-        self.inner.cost_model()
-    }
-
-    fn completed_requests(&self) -> &[RequestMetrics] {
-        self.inner.completed_requests()
-    }
-
-    fn set_speed_factor(&mut self, factor: f64) {
-        self.inner.set_speed_factor(factor);
-    }
-
-    fn speed_factor(&self) -> f64 {
-        self.inner.speed_factor()
-    }
-
-    fn begin_drain(&mut self) {
-        self.inner.begin_drain();
-    }
-
-    fn is_draining(&self) -> bool {
-        self.inner.is_draining()
-    }
-
-    fn take_incomplete(&mut self) -> Vec<Request> {
-        self.inner.take_incomplete()
-    }
-
-    fn step_sim_stats(&self) -> StepSimStats {
-        self.inner.step_sim_stats()
-    }
-
-    fn into_result(self: Box<Self>) -> SimulationResult {
-        Box::new(self.inner).into_result()
     }
 }

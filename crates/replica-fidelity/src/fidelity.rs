@@ -4,7 +4,7 @@ use serde::Serialize;
 use std::fmt;
 
 /// Environment variable selecting the default replica fidelity
-/// (`exact`, `replay`, or `analytical`; unset means `exact`).
+/// (`exact` or `analytical`; unset means `exact`).
 pub const FIDELITY_ENV: &str = "PAT_REPLICA_FIDELITY";
 
 /// Simulation fidelity of one replica slot.
@@ -16,30 +16,25 @@ pub enum Fidelity {
     /// Full serving engine over the kernel simulator (the reference).
     #[default]
     Exact,
-    /// Full serving engine with an unbounded step-simulation cache: each
-    /// structurally distinct decode step is simulated once, then replayed.
-    Replay,
     /// Closed-form calibrated cost model; no kernel simulation at all.
     Analytical,
 }
 
 impl Fidelity {
-    /// Parses a fidelity name (`"exact"`, `"replay"`, `"analytical"`,
+    /// Parses a fidelity name (`"exact"`, `"analytical"`,
     /// case-insensitive). Returns `None` for anything else.
     pub fn parse(name: &str) -> Option<Fidelity> {
         match name.trim().to_ascii_lowercase().as_str() {
             "exact" => Some(Fidelity::Exact),
-            "replay" => Some(Fidelity::Replay),
             "analytical" => Some(Fidelity::Analytical),
             _ => None,
         }
     }
 
-    /// Canonical lowercase name (`"exact"`, `"replay"`, `"analytical"`).
+    /// Canonical lowercase name (`"exact"`, `"analytical"`).
     pub fn name(self) -> &'static str {
         match self {
             Fidelity::Exact => "exact",
-            Fidelity::Replay => "replay",
             Fidelity::Analytical => "analytical",
         }
     }
@@ -65,17 +60,18 @@ mod tests {
 
     #[test]
     fn parse_round_trips_canonical_names() {
-        for f in [Fidelity::Exact, Fidelity::Replay, Fidelity::Analytical] {
+        for f in [Fidelity::Exact, Fidelity::Analytical] {
             assert_eq!(Fidelity::parse(f.name()), Some(f));
             assert_eq!(Fidelity::parse(&f.name().to_uppercase()), Some(f));
         }
         assert_eq!(Fidelity::parse("kernel"), None);
+        // The removed Replay fidelity's name falls back like any other.
+        assert_eq!(Fidelity::parse("replay"), None);
         assert_eq!(Fidelity::parse(""), None);
     }
 
     #[test]
     fn ordering_is_most_to_least_expensive() {
-        assert!(Fidelity::Exact < Fidelity::Replay);
-        assert!(Fidelity::Replay < Fidelity::Analytical);
+        assert!(Fidelity::Exact < Fidelity::Analytical);
     }
 }

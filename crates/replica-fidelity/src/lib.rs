@@ -10,16 +10,11 @@
 //! This crate decouples *what a replica costs to simulate* from *what the
 //! fleet observes about it*. The [`ReplicaModel`] trait captures the exact
 //! surface the `cluster` and `controller` drivers consume — submit / step /
-//! clock / queue depths / prefix probes / drain / metrics — and three
+//! clock / queue depths / prefix probes / drain / metrics — and two
 //! interchangeable backends implement it:
 //!
 //! - [`ExactReplica`] — today's full [`serving::ServingEngine`] over the
 //!   kernel simulator. Token-exact timing; the reference.
-//! - [`ReplayReplica`] — the same engine with an unbounded step-simulation
-//!   cache ([`attn_kernel::StepSimCache`]): every structurally distinct
-//!   decode step is simulated once and replayed thereafter. Bit-identical
-//!   to Exact whenever the bounded default cache would not have evicted
-//!   (e.g. lockstep decode), and never slower.
 //! - [`AnalyticalReplica`] — no kernel simulator at all: decode-attention
 //!   time comes from a closed-form model fitted offline against exact-sim
 //!   samples (the committed [`calibration`] table), prefill from the same
@@ -27,7 +22,7 @@
 //!   from a block-hash [`PrefixStore`] that mirrors the real KV cache at
 //!   block granularity. O(batch) arithmetic per decode step.
 //!
-//! All three run on the integer-nanosecond spine ([`sim_core::SimTime`])
+//! Both run on the integer-nanosecond spine ([`sim_core::SimTime`])
 //! and are advanced by fleet drivers on `sim_core::par` workers, so fleet
 //! results stay byte-identical at any `PAT_SIM_THREADS` regardless of the
 //! fidelity mix. Fidelity is selected per replica ([`Fidelity`], env knob
@@ -48,7 +43,7 @@ pub use analytical::AnalyticalReplica;
 pub use calibration::{
     AttnCalibration, CalibrationTable, ANALYTICAL_REL_ERROR_BOUND, KERNEL_FIT_REL_ERR_BOUND,
 };
-pub use exact::{ExactReplica, ReplayReplica, REPLAY_STEP_CACHE_CAPACITY};
+pub use exact::ExactReplica;
 pub use fidelity::{fidelity_from_env, Fidelity, FIDELITY_ENV};
 pub use model::{new_replica, ReplicaModel};
 pub use prefix_store::PrefixStore;

@@ -1,6 +1,6 @@
 //! The [`ReplicaModel`] trait: the replica surface fleet drivers consume.
 
-use crate::{AnalyticalReplica, ExactReplica, Fidelity, ReplayReplica};
+use crate::{AnalyticalReplica, ExactReplica, Fidelity};
 use kv_cache::{CacheManager, IngestReport, Token};
 use serving::{
     CostModel, RequestMetrics, ServingAttention, ServingConfig, SimulationResult, StepOutcome,
@@ -109,8 +109,7 @@ pub trait ReplicaModel: Send + std::fmt::Debug {
 
 /// Builds a replica model of the given fidelity.
 ///
-/// `backend` plans attention for the exact and replay fidelities; an
-/// analytical replica runs no planner and drops it (its calibration table
+/// `backend` plans attention for the exact fidelity; an analytical replica runs no planner and drops it (its calibration table
 /// was fitted against the PAT backend — see [`crate::calibration`]).
 pub fn new_replica(
     fidelity: Fidelity,
@@ -119,7 +118,6 @@ pub fn new_replica(
 ) -> Box<dyn ReplicaModel> {
     match fidelity {
         Fidelity::Exact => Box::new(ExactReplica::new(config.clone(), backend)),
-        Fidelity::Replay => Box::new(ReplayReplica::new(config.clone(), backend)),
         Fidelity::Analytical => Box::new(AnalyticalReplica::new(config.clone())),
     }
 }

@@ -23,7 +23,6 @@ use attn_kernel::{batch_timing_fingerprint, simulate_plan_trusted, DecodeBatch};
 use attn_kernel::{StepSimCache, StepSimReport, StepSimStats};
 use attn_math::HeadConfig;
 use kv_cache::{AllocError, BlockTable, CacheManager, DEFAULT_BLOCK_SIZE};
-use pat_core::PlanReuse;
 use serde::Serialize;
 use sim_core::{SimDuration, SimTime};
 use sim_gpu::{gpu_model_from_env, GpuSpec};
@@ -226,9 +225,6 @@ pub struct ServingEngine {
     /// Scratch arena: block-table vector recycled across decode steps so
     /// the per-step `DecodeBatch` rebuild allocates nothing in steady state.
     scratch_tables: Vec<BlockTable>,
-    /// Scratch arena for the batch's stable query ids (request ids), which
-    /// let stateful backends classify step deltas for incremental planning.
-    scratch_ids: Vec<u64>,
     /// Scratch arena for the chunked-prefill completion list.
     scratch_finished: Vec<(usize, usize)>,
     /// First invariant fault that halted this replica, if any.
@@ -273,9 +269,8 @@ impl ServingEngine {
             dropped: 0,
             speed_factor: 1.0,
             draining: false,
-            step_cache: StepSimCache::from_env(),
+            step_cache: StepSimCache::default(),
             scratch_tables: Vec::new(),
-            scratch_ids: Vec::new(),
             scratch_finished: Vec::new(),
             fault: None,
         }
@@ -295,16 +290,6 @@ impl ServingEngine {
             op,
             detail: detail.to_string(),
         });
-    }
-
-    /// Replaces the step-simulation cache with one of `capacity` entries
-    /// (minimum 1), discarding any cached reports and counters.
-    ///
-    /// The default capacity comes from `PAT_STEP_CACHE` (see
-    /// [`StepSimCache::from_env`]); the `replica-fidelity` Replay backend
-    /// raises it so timing replay never evicts within a run.
-    pub fn set_step_cache_capacity(&mut self, capacity: usize) {
-        self.step_cache = StepSimCache::new(capacity);
     }
 
     /// Submits a request. Requests must be submitted in arrival order; the
@@ -745,10 +730,7 @@ impl ServingEngine {
                 tables.push(a.table.clone());
             }
         }
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        ids.clear();
-        ids.extend(self.active.iter().map(|a| self.requests[a.req_idx].id));
-        let batch = DecodeBatch::new(self.shard_head, tables, 2).with_query_ids(ids);
+        let batch = DecodeBatch::new(self.shard_head, tables, 2);
         // Step-simulation memoization (serving-level §5.1): consecutive
         // steps with identical block-granularity structure replay the
         // cached timing report and skip both the pack scheduler and the
@@ -768,25 +750,18 @@ impl ServingEngine {
                         // the typed failure and halt the replica cleanly.
                         // In-flight requests surface as `unfinished`.
                         self.record_fault(EngineError::Plan(e.to_string()));
-                        (self.scratch_tables, self.scratch_ids) = batch.into_scratch();
+                        self.scratch_tables = batch.into_tables();
                         self.scratch_finished = finished_prefills;
                         return StepOutcome::Idle;
                     }
                 };
-                // Fig. 16 three-way split: this step ran the planner —
-                // record whether it reused plan state or went cold.
-                // Stateless baselines report no reuse and count as cold.
-                self.step_cache.note_plan(matches!(
-                    attention.last_plan_reuse(),
-                    Some(r) if r != PlanReuse::Cold
-                ));
                 let full = match simulate_plan_trusted(&batch, &plan, &self.config.gpu) {
                     Ok(full) => full,
                     Err(e) => {
                         // The backend produced a plan the kernel simulator
                         // rejects — same clean halt as a planning failure.
                         self.record_fault(EngineError::Simulate(e.to_string()));
-                        (self.scratch_tables, self.scratch_ids) = batch.into_scratch();
+                        self.scratch_tables = batch.into_tables();
                         self.scratch_finished = finished_prefills;
                         return StepOutcome::Idle;
                     }
@@ -833,9 +808,9 @@ impl ServingEngine {
         self.batch_acc += batch.num_queries();
         self.attn_time += SimDuration::from_ns_f64(attention_ns);
         self.total_time += step;
-        // Return the table and id vectors to the scratch arena, then the
-        // completion list; all keep their capacity for the next step.
-        (self.scratch_tables, self.scratch_ids) = batch.into_scratch();
+        // Return the table vector to the scratch arena, then the completion
+        // list; both keep their capacity for the next step.
+        self.scratch_tables = batch.into_tables();
         self.admit_finished_prefills(&finished_prefills);
         self.scratch_finished = finished_prefills;
 

@@ -21,7 +21,7 @@
 //! Each knob declares a [`KnobScope`]. `Output` knobs change *what* is
 //! simulated (hardware model, tile policy, replica fidelity, smoke
 //! scenarios) and are embedded in artifacts. `PerfOnly` knobs change only
-//! *how fast* the host simulates — worker counts, cache capacities — and
+//! *how fast* the host simulates — today only the worker count — and
 //! are excluded from artifact snapshots *by contract*: CI regenerates the
 //! smoke artifacts at `PAT_SIM_THREADS=1` and `4` and asserts byte
 //! identity, which is exactly the proof that the exclusion is sound.
@@ -51,7 +51,7 @@ pub enum KnobKind {
 pub enum KnobScope {
     /// Changes what is simulated; embedded in bench artifacts and traces.
     Output,
-    /// Changes only host wall-clock (worker counts, cache sizes); excluded
+    /// Changes only host wall-clock (the worker count); excluded
     /// from artifact snapshots, with the exclusion verified by CI's
     /// cross-thread byte-identity checks.
     PerfOnly,
@@ -83,22 +83,6 @@ pub const KNOBS: &[KnobDef] = &[
               outputs are bit-identical at any value)",
     },
     KnobDef {
-        name: "PAT_STEP_CACHE",
-        kind: KnobKind::Usize,
-        default: "256",
-        scope: KnobScope::PerfOnly,
-        doc: "Per-engine capacity (entries) of the step-simulation LRU cache",
-    },
-    KnobDef {
-        name: "PAT_PLAN_CACHE",
-        kind: KnobKind::Choice(&["0", "1"]),
-        default: "1",
-        scope: KnobScope::PerfOnly,
-        doc: "Incremental delta-planning: patch the maintained prefix forest \
-              across decode steps instead of rebuilding it (plans are \
-              bit-identical either way)",
-    },
-    KnobDef {
         name: "PAT_BENCH_SMOKE",
         kind: KnobKind::Flag,
         default: "0",
@@ -108,7 +92,7 @@ pub const KNOBS: &[KnobDef] = &[
     },
     KnobDef {
         name: "PAT_REPLICA_FIDELITY",
-        kind: KnobKind::Choice(&["exact", "replay", "analytical"]),
+        kind: KnobKind::Choice(&["exact", "analytical"]),
         default: "exact",
         scope: KnobScope::Output,
         doc: "Default replica model for fleet simulations",
@@ -330,6 +314,7 @@ pub fn markdown_table() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     #[test]
     fn every_knob_default_passes_its_own_parser() {
@@ -370,28 +355,38 @@ mod tests {
         assert_eq!(names.len(), len, "duplicate knob declaration");
     }
 
+    /// Serializes the tests that pin `PAT_SIM_THREADS`: overrides are
+    /// process-global and the test runner is threaded.
+    static SIM_THREADS_PIN: Mutex<()> = Mutex::new(());
+
     #[test]
     fn overrides_shadow_environment_and_clear() {
-        set_override("PAT_STEP_CACHE", Some("77"));
-        assert_eq!(usize_knob("PAT_STEP_CACHE"), Some(77));
+        let _pin = SIM_THREADS_PIN
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        set_override("PAT_SIM_THREADS", Some("3"));
+        assert_eq!(usize_knob("PAT_SIM_THREADS"), Some(3));
         let snap = snapshot();
-        assert_eq!(snap.get("PAT_STEP_CACHE"), Some("77"));
-        set_override("PAT_STEP_CACHE", None);
+        assert_eq!(snap.get("PAT_SIM_THREADS"), Some("3"));
+        set_override("PAT_SIM_THREADS", None);
     }
 
     #[test]
     fn invalid_values_collapse_to_defaults_in_snapshots() {
+        let _pin = SIM_THREADS_PIN
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         set_override("PAT_GPU_MODEL", Some("mi300"));
-        set_override("PAT_STEP_CACHE", Some("not-a-number"));
+        set_override("PAT_SIM_THREADS", Some("not-a-number"));
         let snap = snapshot();
         assert_eq!(snap.get("PAT_GPU_MODEL"), Some("a100"));
-        assert_eq!(snap.get("PAT_STEP_CACHE"), Some("256"));
+        assert_eq!(snap.get("PAT_SIM_THREADS"), Some("auto"));
         assert!(!snap
             .values
             .iter()
             .any(|v| v.name == "PAT_GPU_MODEL" && v.explicit));
         set_override("PAT_GPU_MODEL", None);
-        set_override("PAT_STEP_CACHE", None);
+        set_override("PAT_SIM_THREADS", None);
     }
 
     #[test]
@@ -399,7 +394,6 @@ mod tests {
         let snap = snapshot();
         let map = snap.artifact_map();
         assert!(!map.contains_key("PAT_SIM_THREADS"));
-        assert!(!map.contains_key("PAT_STEP_CACHE"));
         for name in [
             "PAT_BENCH_SMOKE",
             "PAT_REPLICA_FIDELITY",

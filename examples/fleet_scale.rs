@@ -8,7 +8,6 @@
 //!
 //! * `analytical` (default) — the closed-form calibrated model: the only way
 //!   to turn half a thousand replicas around in seconds;
-//! * `replay` — exact engines behind an unbounded step cache;
 //! * `exact` — full engines over the kernel simulator (accurate and slow:
 //!   expect orders of magnitude more wall time);
 //! * `mixed` — the fidelity policy: busy replicas (≥ 8 outstanding) run
@@ -44,18 +43,17 @@ fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
-/// `--fidelity exact|replay|analytical|mixed` → (uniform fidelity, policy).
+/// `--fidelity exact|analytical|mixed` → (uniform fidelity, policy).
 fn fidelity_choice() -> (Fidelity, Option<FidelityPolicy>) {
     match arg_value("--fidelity").as_deref() {
         None | Some("analytical") => (Fidelity::Analytical, None),
         Some("exact") => (Fidelity::Exact, None),
-        Some("replay") => (Fidelity::Replay, None),
         // Mixed starts everyone cold; the policy promotes busy replicas.
         Some("mixed") => (
             Fidelity::Analytical,
             Some(FidelityPolicy::hot_exact_cold_analytical()),
         ),
-        Some(other) => panic!("unknown fidelity {other:?}: use exact|replay|analytical|mixed"),
+        Some(other) => panic!("unknown fidelity {other:?}: use exact|analytical|mixed"),
     }
 }
 

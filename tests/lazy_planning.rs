@@ -1,8 +1,8 @@
-//! Equivalence and determinism tests for incremental delta-planning: a
-//! [`LazyPat`] that patches its maintained [`PlanState`] across chain-local
-//! decode steps must produce plans identical to a from-scratch planner, for
-//! arbitrary delta sequences, on every GPU model, under both tile policies —
-//! and enabling the plan cache must not change any simulated output.
+//! Equivalence tests for the lazy-update scheduler (§5.1): a [`LazyPat`]
+//! that reuses its frozen packing while the block-table structure is
+//! unchanged, and plans cold otherwise, must produce plans and scheduling
+//! costs identical to a from-scratch [`PatBackend`], for arbitrary decode
+//! step sequences, on every GPU model, under every tile and packing policy.
 
 use pat::prelude::*;
 use pat_core::{PackingPolicy, PatConfig, PlanReuse};
@@ -12,7 +12,7 @@ const BLOCK_SIZE: usize = 16;
 
 /// One scripted mutation of the running batch.
 #[derive(Debug, Clone)]
-enum DeltaOp {
+enum StepOp {
     /// A request finishes and leaves the batch (index modulo live count).
     Complete(usize),
     /// Every surviving request decodes one token (the common decode step).
@@ -24,24 +24,24 @@ enum DeltaOp {
     Arrive { shared: usize, tail: usize },
 }
 
-fn op_strategy() -> impl Strategy<Value = DeltaOp> {
+fn op_strategy() -> impl Strategy<Value = StepOp> {
     // (The vendored proptest has no `prop_oneof`; pick the variant by index.)
     (0u8..4, 0usize..8, 1usize..40).prop_map(|(kind, i, tail)| match kind {
-        0 => DeltaOp::Complete(i),
-        1 => DeltaOp::GrowAll,
-        2 => DeltaOp::GrowOne(i),
-        _ => DeltaOp::Arrive {
+        0 => StepOp::Complete(i),
+        1 => StepOp::GrowAll,
+        2 => StepOp::GrowOne(i),
+        _ => StepOp::Arrive {
             shared: 1 + i % SHARED_POOL,
             tail,
         },
     })
 }
 
-/// The mutable workload the ops act on: live `(query id, block ids, tokens)`
-/// rows plus counters for fresh ids. Blocks `0..SHARED` are the shared pool.
+/// The mutable workload the ops act on: live `(block ids, tokens)` rows
+/// plus a counter for fresh blocks. Blocks `0..SHARED_POOL` are the shared
+/// pool.
 struct Workload {
-    rows: Vec<(u64, Vec<BlockId>, usize)>,
-    next_id: u64,
+    rows: Vec<(Vec<BlockId>, usize)>,
     next_block: u32,
 }
 
@@ -51,7 +51,6 @@ impl Workload {
     fn seed() -> Self {
         let mut w = Workload {
             rows: Vec::new(),
-            next_id: 0,
             next_block: SHARED_POOL as u32,
         };
         // Two initial requests sharing the whole pool, distinct tails.
@@ -70,12 +69,11 @@ impl Workload {
             self.next_block += 1;
         }
         tokens += tail_tokens;
-        self.rows.push((self.next_id, blocks, tokens));
-        self.next_id += 1;
+        self.rows.push((blocks, tokens));
     }
 
     fn grow(&mut self, i: usize) {
-        let (_, blocks, tokens) = &mut self.rows[i];
+        let (blocks, tokens) = &mut self.rows[i];
         if *tokens == blocks.len() * BLOCK_SIZE {
             blocks.push(BlockId(self.next_block));
             self.next_block += 1;
@@ -83,25 +81,25 @@ impl Workload {
         *tokens += 1;
     }
 
-    fn apply(&mut self, op: &DeltaOp) {
+    fn apply(&mut self, op: &StepOp) {
         match *op {
-            DeltaOp::Complete(i) => {
+            StepOp::Complete(i) => {
                 // Keep at least one request so every step has a batch.
                 if self.rows.len() > 1 {
                     let i = i % self.rows.len();
                     self.rows.remove(i);
                 }
             }
-            DeltaOp::GrowAll => {
+            StepOp::GrowAll => {
                 for i in 0..self.rows.len() {
                     self.grow(i);
                 }
             }
-            DeltaOp::GrowOne(i) => {
+            StepOp::GrowOne(i) => {
                 let i = i % self.rows.len();
                 self.grow(i);
             }
-            DeltaOp::Arrive { shared, tail } => {
+            StepOp::Arrive { shared, tail } => {
                 if self.rows.len() < 8 {
                     self.arrive(shared, tail);
                 }
@@ -113,23 +111,22 @@ impl Workload {
         let tables = self
             .rows
             .iter()
-            .map(|(_, blocks, tokens)| BlockTable::new(blocks.clone(), *tokens, BLOCK_SIZE))
+            .map(|(blocks, tokens)| BlockTable::new(blocks.clone(), *tokens, BLOCK_SIZE))
             .collect();
-        let ids = self.rows.iter().map(|(id, _, _)| *id).collect();
-        DecodeBatch::new(head, tables, 2).with_query_ids(ids)
+        DecodeBatch::new(head, tables, 2)
     }
 }
 
-/// Replays `ops` through a plan-cache-enabled [`LazyPat`] and a from-scratch
-/// [`PatBackend`] with the same config, asserting plan equality every step.
-fn assert_incremental_matches_scratch(
-    ops: &[DeltaOp],
+/// Runs `ops` through a [`LazyPat`] and a from-scratch [`PatBackend`] with
+/// the same config, asserting plan and cost equality every step.
+fn assert_lazy_matches_scratch(
+    ops: &[StepOp],
     config: PatConfig,
     spec: &GpuSpec,
     head: HeadConfig,
 ) -> Result<(), TestCaseError> {
     let scratch = PatBackend::with_config(config);
-    let mut lazy = LazyPat::with_backend(PatBackend::with_config(config)).with_plan_cache(true);
+    let mut lazy = LazyPat::with_backend(PatBackend::with_config(config));
     let mut workload = Workload::seed();
     for (step, op) in std::iter::once(None)
         .chain(ops.iter().map(Some))
@@ -139,17 +136,17 @@ fn assert_incremental_matches_scratch(
             workload.apply(op);
         }
         let batch = workload.batch(head);
-        let incremental = lazy.plan(&batch, spec);
+        let lazy_plan = lazy.plan(&batch, spec);
         let from_scratch = scratch.plan(&batch, spec);
         prop_assert_eq!(
-            &incremental,
+            &lazy_plan,
             &from_scratch,
             "plans diverged at step {} after {:?} (reuse={:?})",
             step,
             op,
             lazy.last_plan_reuse()
         );
-        // The cost estimate served from the patched state must match the
+        // The cost estimate recorded at planning time must match the
         // backend's from-scratch walk exactly.
         let cost = lazy.scheduling_cost_ns(&batch);
         prop_assert_eq!(cost.to_bits(), scratch.scheduling_cost_ns(&batch).to_bits());
@@ -160,25 +157,25 @@ fn assert_incremental_matches_scratch(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Arbitrary delta sequences (completions, growth, arrivals) produce
-    /// bit-identical plans whether planned incrementally or from scratch,
-    /// on every GPU model.
+    /// Arbitrary step sequences (completions, growth, arrivals) produce
+    /// bit-identical plans whether planned lazily or from scratch, on every
+    /// GPU model.
     #[test]
-    fn incremental_plans_match_scratch_on_every_gpu(
+    fn lazy_plans_match_scratch_on_every_gpu(
         ops in prop::collection::vec(op_strategy(), 1..8),
     ) {
         // head_dim 128 is feasible on every curated model (TPU-like included).
         let head = HeadConfig::new(32, 8, 128);
         for model in GpuModel::all() {
-            assert_incremental_matches_scratch(&ops, PatConfig::default(), &model.spec(), head)?;
+            assert_lazy_matches_scratch(&ops, PatConfig::default(), &model.spec(), head)?;
         }
     }
 
     /// Same equivalence under the autotuned tile policy and the non-default
-    /// packing policies (the delta path feeds `pack_from_forest`, which must
-    /// dispatch identically to the scratch path for every policy).
+    /// packing policies (the lazy path feeds `pack_from_forest`, which must
+    /// dispatch identically to [`PatBackend::pack`] for every policy).
     #[test]
-    fn incremental_plans_match_scratch_under_every_policy(
+    fn lazy_plans_match_scratch_under_every_policy(
         ops in prop::collection::vec(op_strategy(), 1..8),
     ) {
         let spec = GpuSpec::a100_sxm4_80gb();
@@ -189,7 +186,7 @@ proptest! {
                 PackingPolicy::Naive,
             ] {
                 let config = PatConfig { tile_policy, packing, ..PatConfig::default() };
-                assert_incremental_matches_scratch(&ops, config, &spec, HeadConfig::new(8, 4, 32))?;
+                assert_lazy_matches_scratch(&ops, config, &spec, HeadConfig::new(8, 4, 32))?;
             }
         }
     }
@@ -198,14 +195,14 @@ proptest! {
 /// A completion that crosses the §5.1 profit threshold: with five queries
 /// under the shared node, `4 * s_i = 20 > l_u = 16` merges the group; after
 /// one completes, `4 * 4 = 16 > 16` is false and the packer must split. The
-/// completion is chain-local, so the delta path — not a cold rebuild — has
-/// to re-evaluate the profit rule and flip the decision.
+/// completion changes the block-table structure, so the lazy scheduler must
+/// not replay its frozen packing: it plans cold and flips the decision.
 #[test]
-fn profit_threshold_flip_is_replanned_on_the_delta_path() {
+fn profit_threshold_flip_is_replanned_cold() {
     let head = HeadConfig::new(8, 4, 32);
     let spec = GpuSpec::a100_sxm4_80gb();
     let scratch = PatBackend::new();
-    let mut lazy = LazyPat::new().with_plan_cache(true);
+    let mut lazy = LazyPat::new();
 
     // Parent chain: block A (16 tokens). Five queries continue through B,
     // each with a private tail block; a sixth goes through C so the tree
@@ -226,24 +223,21 @@ fn profit_threshold_flip_is_replanned_on_the_delta_path() {
         t.push(BlockTable::new(vec![a, c], 2 * BLOCK_SIZE, BLOCK_SIZE));
         t
     };
-    let ids = |n: usize| -> Vec<u64> { (0..n as u64 + 1).collect() };
 
-    let step1 = DecodeBatch::new(head, tables(5), 2).with_query_ids(ids(5));
+    let step1 = DecodeBatch::new(head, tables(5), 2);
     let plan1 = lazy.plan(&step1, &spec);
     assert_eq!(plan1, scratch.plan(&step1, &spec));
     assert_eq!(lazy.last_plan_reuse(), Some(PlanReuse::Cold));
 
-    // Query 4 completes — a chain-local delta flipping 4*s_i > l_u at B.
+    // Query 4 completes, flipping 4*s_i > l_u at B.
     let mut t2 = tables(5);
     t2.remove(4);
-    let mut i2 = ids(5);
-    i2.remove(4);
-    let step2 = DecodeBatch::new(head, t2, 2).with_query_ids(i2);
+    let step2 = DecodeBatch::new(head, t2, 2);
     let plan2 = lazy.plan(&step2, &spec);
     assert_eq!(
         lazy.last_plan_reuse(),
-        Some(PlanReuse::DeltaPatched),
-        "a single completion must take the delta path, not a cold rebuild"
+        Some(PlanReuse::Cold),
+        "a completion changes the structure: the frozen packing must not be replayed"
     );
     assert_eq!(plan2, scratch.plan(&step2, &spec));
     assert_ne!(
@@ -251,57 +245,4 @@ fn profit_threshold_flip_is_replanned_on_the_delta_path() {
         plan2.ctas.len(),
         "crossing the profit threshold must change the packing"
     );
-}
-
-/// A plan-cache-enabled controller scenario (crash, failover, autoscaling)
-/// produces byte-identical results across repeated runs, at 1 vs 4 simulation
-/// threads, and with the plan cache on vs off — incremental planning is a
-/// pure wall-clock optimization.
-#[test]
-fn controller_scenario_is_byte_identical_across_threads_and_plan_cache() {
-    use controller::{
-        AutoscalerConfig, ControllerConfig, FaultEvent, FaultKind, FaultPlan, FleetController,
-    };
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use serving::{ModelSpec, ServingConfig};
-    use workloads::{generate_trace_at, BurstyArrivals, TraceKind};
-
-    let run = || {
-        let mut rng = StdRng::seed_from_u64(7);
-        let arrivals = BurstyArrivals::new(6.0, vec![]).take_until(4.0, &mut rng);
-        let trace = generate_trace_at(TraceKind::ToolAgent, &arrivals, 7);
-        let engine = ServingConfig::single_gpu(ModelSpec::llama3_8b());
-        let mut config = ControllerConfig::managed(2, engine);
-        config.autoscaler = Some(AutoscalerConfig::new(2, 3));
-        let faults = FaultPlan::scripted(vec![FaultEvent {
-            at_s: 1.5,
-            kind: FaultKind::Crash {
-                replica: 0,
-                restart_after_s: Some(1.0),
-            },
-        }]);
-        let router: Box<dyn Router> = Box::new(PrefixAffinity::new());
-        let result = FleetController::with_lazy_pat(config, router, faults).run(&trace);
-        assert!(result.completed > 0, "scenario must exercise the fleet");
-        // Debug formatting round-trips every f64 exactly, so string equality
-        // is byte-identity of the full result payload.
-        format!("{result:?}")
-    };
-
-    let set = |name: &str, v: Option<&str>| sim_core::knobs::set_override(name, v);
-
-    set("PAT_PLAN_CACHE", Some("1"));
-    set("PAT_SIM_THREADS", Some("1"));
-    let baseline = run();
-    assert_eq!(baseline, run(), "double run must be byte-identical");
-
-    set("PAT_SIM_THREADS", Some("4"));
-    assert_eq!(baseline, run(), "1 vs 4 threads must be byte-identical");
-
-    set("PAT_PLAN_CACHE", Some("0"));
-    assert_eq!(baseline, run(), "plan cache off must not change outputs");
-
-    set("PAT_PLAN_CACHE", None);
-    set("PAT_SIM_THREADS", None);
 }
