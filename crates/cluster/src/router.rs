@@ -8,6 +8,7 @@
 //! they wrap any [`ReplicaModel`], so the same policies route over exact
 //! and analytical replicas (and mixes of them) unchanged.
 
+use kv_cache::PrefixProbe;
 use replica_fidelity::ReplicaModel;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -144,10 +145,21 @@ impl<'a> ReplicaView<'a> {
         self.model.num_active()
     }
 
-    /// How many leading prompt tokens this replica's KV cache would serve
-    /// without recomputation. Read-only: never touches cache recency.
+    /// The replica's KV block size in tokens.
+    pub fn block_size(&self) -> usize {
+        self.model.block_size()
+    }
+
+    /// How many leading tokens of the probed prompt this replica's KV cache
+    /// would serve without recomputation. Read-only: never touches cache
+    /// recency. Share one probe across views to hash the prompt once.
+    pub fn prefix_overlap(&self, probe: &mut PrefixProbe<'_>) -> usize {
+        self.model.prefix_overlap(probe)
+    }
+
+    /// [`ReplicaView::prefix_overlap`] of a fresh probe of `prompt_tokens`.
     pub fn prefix_overlap_tokens(&self, prompt_tokens: &[u32]) -> usize {
-        self.model.prefix_overlap_tokens(prompt_tokens)
+        self.prefix_overlap(&mut PrefixProbe::new(prompt_tokens, self.block_size()))
     }
 }
 
@@ -363,7 +375,9 @@ impl Router for PrefixAffinity {
     }
 
     fn route(&mut self, request: &Request, replicas: &[ReplicaView<'_>]) -> Option<usize> {
+        let first = replicas.first()?;
         let prompt_tokens = request.prompt.to_tokens();
+        let mut probe = PrefixProbe::new(&prompt_tokens, first.block_size());
         let mut best: Option<usize> = None;
         let mut best_score = f64::NEG_INFINITY;
         let mut best_overlap = 0usize;
@@ -371,7 +385,7 @@ impl Router for PrefixAffinity {
             if !view.state().is_routable() {
                 continue;
             }
-            let overlap = view.prefix_overlap_tokens(&prompt_tokens);
+            let overlap = view.prefix_overlap(&mut probe);
             let score = overlap as f64 - self.alpha * view.outstanding() as f64;
             if score > best_score {
                 best = Some(i);

@@ -22,6 +22,7 @@
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::metrics::{ControlEvent, ControlResult, TimelineEvent};
 use cluster::{kv_block_bytes, ReplicaRole, ReplicaState, ReplicaView, Router};
+use kv_cache::{PrefixProbe, Token};
 use kv_transfer::{FleetTopology, TransferKind, TransferPlane};
 use pat_core::LazyPat;
 use replica_fidelity::{fidelity_from_env, new_replica, Fidelity, ReplicaModel};
@@ -359,7 +360,7 @@ enum PendingTransfer {
     /// resident at decision time).
     Migration { req: Request, donor_overlap: usize },
     /// Ingest the pushed prefix at the (re)joined replica; no request held.
-    Prewarm { tokens: Vec<kv_cache::Token> },
+    Prewarm { tokens: Vec<Token> },
     /// Disaggregated handoff: ingest the full prompt prefix at the decode
     /// replica, then submit the original request there.
     Handoff { req: Request },
@@ -871,7 +872,7 @@ impl Sim {
     /// is routable, so the caller can buffer or retry it.
     fn route_now(&mut self, req: Request, is_failover: bool) -> Option<Request> {
         let wanted = self.wanted_role(req.id);
-        let (target, overlap) = {
+        let target = {
             let views: Vec<ReplicaView<'_>> = self
                 .replicas
                 .iter()
@@ -897,28 +898,26 @@ impl Sim {
                 views[target].state().is_routable(),
                 "router picked non-routable replica {target}"
             );
-            let overlap = if is_failover {
-                views[target].prefix_overlap_tokens(&req.prompt.to_tokens())
-            } else {
-                0
-            };
-            (target, overlap)
+            target
         };
-        if self.replicas[target].actual.is_routable() {
-            if is_failover {
-                self.failovers += 1;
-                if let Some(req) = self.try_migrate(target, overlap, req) {
-                    // No donor worth migrating from (or recompute wins):
-                    // the whole uncovered prompt refills cold.
-                    let recompute = req.prompt.total_tokens().saturating_sub(overlap);
-                    self.refilled_cold += recompute as u64;
-                    self.submit_to(target, req);
-                }
-            } else {
+        if !self.replicas[target].actual.is_routable() {
+            self.replicas[target].limbo.push(req);
+        } else if is_failover {
+            self.failovers += 1;
+            // One probe of the prompt serves the target's overlap check and
+            // the whole donor scan.
+            let tokens = req.prompt.to_tokens();
+            let mut probe = PrefixProbe::new(&tokens, self.block_size());
+            let overlap = self.replicas[target].model.prefix_overlap(&mut probe);
+            if let Some(req) = self.try_migrate(target, overlap, &mut probe, req) {
+                // No donor worth migrating from (or recompute wins):
+                // the whole uncovered prompt refills cold.
+                let recompute = req.prompt.total_tokens().saturating_sub(overlap);
+                self.refilled_cold += recompute as u64;
                 self.submit_to(target, req);
             }
         } else {
-            self.replicas[target].limbo.push(req);
+            self.submit_to(target, req);
         }
         None
     }
@@ -961,13 +960,15 @@ impl Sim {
     }
 
     /// Failover hook: try to stream the best donor's warm prefix to the
-    /// failover target instead of recomputing it. Returns the request when
-    /// migration does not apply (caller recomputes cold); `None` means the
-    /// request is held until its transfer completes.
+    /// failover target instead of recomputing it. `probe` is a probe of
+    /// `req`'s prompt. Returns the request when migration does not apply
+    /// (caller recomputes cold); `None` means the request is held until its
+    /// transfer completes.
     fn try_migrate(
         &mut self,
         target: usize,
         target_overlap: usize,
+        probe: &mut PrefixProbe<'_>,
         req: Request,
     ) -> Option<Request> {
         let (migration, min_gain) = match self.config.transfer.as_ref() {
@@ -977,14 +978,13 @@ impl Sim {
         if !migration {
             return Some(req);
         }
-        let tokens = req.prompt.to_tokens();
         // Donor: the routable replica holding the longest resident prefix.
         let mut best: Option<(usize, usize)> = None;
         for (j, r) in self.replicas.iter().enumerate() {
             if j == target || !r.observed.is_routable() || !r.actual.is_routable() {
                 continue;
             }
-            let overlap = r.model.prefix_overlap_tokens(&tokens);
+            let overlap = r.model.prefix_overlap(probe);
             if overlap > best.map_or(0, |(_, b)| b) {
                 best = Some((j, overlap));
             }
@@ -1202,7 +1202,8 @@ impl Sim {
             }
             _ => return,
         };
-        let mut best: Option<(usize, usize, Vec<kv_cache::Token>)> = None;
+        let block_size = self.block_size();
+        let mut best: Option<(usize, usize, Vec<Token>)> = None;
         for req in self
             .pending
             .iter()
@@ -1210,20 +1211,25 @@ impl Sim {
             .take(candidates)
         {
             let tokens = req.prompt.to_tokens();
+            let mut probe = PrefixProbe::new(&tokens, block_size);
+            let floor = best.as_ref().map_or(0, |(_, b, _)| *b);
+            let mut found: Option<(usize, usize)> = None;
             for (j, r) in self.replicas.iter().enumerate() {
                 if j == dst || !r.observed.is_routable() || !r.actual.is_routable() {
                     continue;
                 }
-                let overlap = r.model.prefix_overlap_tokens(&tokens);
-                if overlap >= min_tokens && overlap > best.as_ref().map_or(0, |(_, b, _)| *b) {
-                    best = Some((j, overlap, tokens.clone()));
+                let overlap = r.model.prefix_overlap(&mut probe);
+                if overlap >= min_tokens && overlap > found.map_or(floor, |(_, b)| b) {
+                    found = Some((j, overlap));
                 }
             }
+            if let Some((j, overlap)) = found {
+                best = Some((j, overlap, tokens));
+            }
         }
-        let Some((donor, overlap, tokens)) = best else {
+        let Some((donor, overlap, mut tokens)) = best else {
             return;
         };
-        let block_size = self.block_size();
         let blocks = overlap / block_size;
         if blocks == 0 {
             return;
@@ -1236,12 +1242,9 @@ impl Sim {
         self.queue
             .push(transfer.finish, FleetEvent::TransferDone(transfer.id));
         let dur = transfer.finish.saturating_sub(self.now).as_ns();
-        self.pending_transfers.insert(
-            transfer.id,
-            PendingTransfer::Prewarm {
-                tokens: tokens[..overlap].to_vec(),
-            },
-        );
+        tokens.truncate(overlap);
+        self.pending_transfers
+            .insert(transfer.id, PendingTransfer::Prewarm { tokens });
         self.mark_span("transfer", Some(dst), dur);
         self.event(format!("prewarm {overlap} tokens r{donor} -> r{dst}"));
     }

@@ -1,7 +1,8 @@
 //! vLLM/SGLang-style prefix-cache manager (§3.1).
 //!
 //! Maps content-identical logical prefixes to a single physical block via
-//! chained block hashing: a block's identity is `hash(parent_hash, tokens)`.
+//! chained block hashing: a block's identity is `hash(parent_hash, tokens)`
+//! ([`PrefixProbe`] computes it).
 //! Requests whose token prefixes match reuse physical blocks (refcounted); the
 //! cache itself keeps a reference so recently used prefixes survive request
 //! departure until evicted under memory pressure.
@@ -10,10 +11,8 @@
 //! *global memory accesses* — the attention kernel still re-loads shared
 //! blocks per query unless it is prefix-aware.
 
-use crate::{AllocError, BlockAllocator, BlockId, BlockTable};
-use std::collections::hash_map::DefaultHasher;
+use crate::{AllocError, BlockAllocator, BlockId, BlockTable, PrefixProbe};
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 
 /// Token id type used throughout the reproduction.
 pub type Token = u32;
@@ -141,41 +140,45 @@ impl CacheManager {
         self.allocator.free_blocks() + self.evictable_blocks()
     }
 
-    /// Read-only probe: how many leading tokens of `tokens` would be served
-    /// from the cache if the sequence were inserted right now.
+    /// Read-only probe: how many leading tokens of the probed slice would
+    /// be served from the cache if it were inserted right now (resident
+    /// leading full blocks × block size).
     ///
-    /// Walks the chain hashes of full blocks without bumping recency or
+    /// Only looks up the probe's chain hashes, without bumping recency or
     /// statistics, so routers can repeatedly probe live replica caches
-    /// without perturbing LRU eviction order.
+    /// without perturbing LRU eviction order. One probe can be shared by
+    /// every cache a router asks: each block is hashed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the probe's block size is not this cache's.
+    pub fn prefix_overlap(&self, probe: &mut PrefixProbe<'_>) -> usize {
+        assert_eq!(
+            probe.block_size(),
+            self.block_size,
+            "probe block size differs from the cache's"
+        );
+        probe.matched_tokens(|h| self.by_hash.contains_key(&h))
+    }
+
+    /// [`CacheManager::prefix_overlap`] of a fresh probe of `tokens`.
     pub fn prefix_overlap_tokens(&self, tokens: &[Token]) -> usize {
-        let mut parent_hash = 0u64;
-        let mut matched = 0usize;
-        for chunk in tokens.chunks_exact(self.block_size) {
-            let h = Self::chain_hash(parent_hash, chunk);
-            if !self.by_hash.contains_key(&h) {
-                break;
-            }
-            matched += self.block_size;
-            parent_hash = h;
-        }
-        matched
+        self.prefix_overlap(&mut PrefixProbe::new(tokens, self.block_size))
     }
 
     /// Export-side probe: the physical blocks a donor would stream for the
     /// cache-resident prefix of `tokens`, in prefix order. Like
-    /// [`CacheManager::prefix_overlap_tokens`] this is read-only — recency,
+    /// [`CacheManager::prefix_overlap`] this is read-only — recency,
     /// refcounts and statistics are untouched.
     pub fn resident_prefix_blocks(&self, tokens: &[Token]) -> Vec<BlockId> {
-        let mut parent_hash = 0u64;
         let mut blocks = Vec::new();
-        for chunk in tokens.chunks_exact(self.block_size) {
-            let h = Self::chain_hash(parent_hash, chunk);
-            let Some(cached) = self.by_hash.get(&h) else {
-                break;
-            };
-            blocks.push(cached.block);
-            parent_hash = h;
-        }
+        PrefixProbe::new(tokens, self.block_size).matched_tokens(|h| match self.by_hash.get(&h) {
+            Some(cached) => {
+                blocks.push(cached.block);
+                true
+            }
+            None => false,
+        });
         blocks
     }
 
@@ -192,9 +195,7 @@ impl CacheManager {
     /// accounting stays honest.
     pub fn ingest_prefix(&mut self, tokens: &[Token]) -> IngestReport {
         let mut report = IngestReport::default();
-        let mut parent_hash = 0u64;
-        for chunk in tokens.chunks_exact(self.block_size) {
-            let h = Self::chain_hash(parent_hash, chunk);
+        for &h in PrefixProbe::new(tokens, self.block_size).all_hashes() {
             self.clock += 1;
             if let Some(cached) = self.by_hash.get_mut(&h) {
                 cached.last_use = self.clock;
@@ -215,7 +216,6 @@ impl CacheManager {
                 report.imported_blocks += 1;
             }
             report.covered_tokens += self.block_size;
-            parent_hash = h;
         }
         report
     }
@@ -237,13 +237,10 @@ impl CacheManager {
     /// evicting every unreferenced cached block.
     pub fn insert_sequence(&mut self, tokens: &[Token]) -> Result<BlockTable, AllocError> {
         let mut table = BlockTable::empty(self.block_size);
-        let mut parent_hash = 0u64;
-        let mut consumed = 0;
-        while consumed < tokens.len() {
-            let take = (tokens.len() - consumed).min(self.block_size);
-            let chunk = &tokens[consumed..consumed + take];
-            if take == self.block_size {
-                let h = Self::chain_hash(parent_hash, chunk);
+        let mut probe = PrefixProbe::new(tokens, self.block_size);
+        for (b, chunk) in tokens.chunks(self.block_size).enumerate() {
+            let take = chunk.len();
+            if let Some(h) = probe.block_hash(b) {
                 self.clock += 1;
                 if let Some(cached) = self.by_hash.get_mut(&h) {
                     cached.last_use = self.clock;
@@ -268,14 +265,12 @@ impl CacheManager {
                     self.stats.miss_blocks += 1;
                     self.stats.miss_tokens += take as u64;
                 }
-                parent_hash = h;
             } else {
                 // Partial tail: never shared.
                 let block = self.allocate_with_eviction()?;
                 table.push_block(block, take);
                 self.stats.miss_tokens += take as u64;
             }
-            consumed += take;
         }
         Ok(table)
     }
@@ -351,13 +346,6 @@ impl CacheManager {
             .expect("cache-owned reference exists");
         self.stats.evicted_blocks += 1;
         true
-    }
-
-    fn chain_hash(parent: u64, chunk: &[Token]) -> u64 {
-        let mut h = DefaultHasher::new();
-        parent.hash(&mut h);
-        chunk.hash(&mut h);
-        h.finish()
     }
 }
 
@@ -497,6 +485,14 @@ mod tests {
             32
         );
         cache.free_sequence(&newer).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "probe block size differs")]
+    fn probing_at_another_block_size_is_a_caller_bug() {
+        let cache = CacheManager::new(8, 16);
+        let tokens: Vec<Token> = (0..64).collect();
+        cache.prefix_overlap(&mut PrefixProbe::new(&tokens, 32));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The serving-system substrate of the PAT reproduction: vLLM-style paged KV
 //! blocks ([`BlockAllocator`], [`BlockTable`]), content-hash prefix reuse
-//! across requests ([`CacheManager`]), the tree-structure block table of the
+//! across requests ([`CacheManager`]), the block-chain hash every prefix
+//! probe shares ([`PrefixProbe`]), the tree-structure block table of the
 //! pack scheduler ([`PrefixForest`], Fig. 7b), and shared-prefix statistics
 //! ([`stats`], Fig. 4).
 //!
@@ -31,6 +32,7 @@ mod allocator;
 mod block;
 mod cache_manager;
 mod prefix_tree;
+mod probe;
 mod radix;
 pub mod stats;
 
@@ -38,5 +40,6 @@ pub use allocator::{AllocError, BlockAllocator};
 pub use block::{BlockId, BlockTable, DEFAULT_BLOCK_SIZE};
 pub use cache_manager::{CacheManager, CacheStats, IngestReport, Token};
 pub use prefix_tree::{PrefixForest, PrefixNode};
+pub use probe::PrefixProbe;
 pub use radix::{RadixCache, RadixStats};
 pub use stats::BatchPrefixStats;

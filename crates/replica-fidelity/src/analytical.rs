@@ -24,7 +24,7 @@
 
 use crate::calibration::{key_for, shard_head, AttnCalibration, CalibrationTable};
 use crate::{Fidelity, PrefixStore, ReplicaModel};
-use kv_cache::{CacheManager, IngestReport, Token, DEFAULT_BLOCK_SIZE};
+use kv_cache::{CacheManager, IngestReport, PrefixProbe, Token, DEFAULT_BLOCK_SIZE};
 use serving::{
     AggregateMetrics, CostModel, RequestMetrics, ServingConfig, SimulationResult, StepOutcome,
     StepSimStats,
@@ -371,8 +371,8 @@ impl ReplicaModel for AnalyticalReplica {
         self.prefix.block_size()
     }
 
-    fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize {
-        self.prefix.overlap_tokens(prompt_tokens)
+    fn prefix_overlap(&self, probe: &mut PrefixProbe<'_>) -> usize {
+        self.prefix.overlap(probe)
     }
 
     fn cache_hit_rate(&self) -> f64 {
@@ -384,9 +384,10 @@ impl ReplicaModel for AnalyticalReplica {
     }
 
     fn resident_block_hashes(&self) -> Vec<u64> {
-        // PrefixStore hashes are not comparable with CacheManager block
-        // hashes, so analytical replicas opt out of cross-replica
-        // duplication accounting rather than pollute it.
+        // PrefixStore and CacheManager name blocks by the same chain hash,
+        // but reporting these would change `duplicated_kv_blocks` for every
+        // analytical and mixed-fidelity cluster. Analytical replicas keep
+        // opting out of cross-replica duplication accounting.
         Vec::new()
     }
 

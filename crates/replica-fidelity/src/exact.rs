@@ -1,7 +1,7 @@
 //! The Exact fidelity: the full serving engine over the kernel simulator.
 
 use crate::{Fidelity, ReplicaModel};
-use kv_cache::{CacheManager, IngestReport, Token};
+use kv_cache::{CacheManager, IngestReport, PrefixProbe, Token};
 use serving::{
     CostModel, RequestMetrics, ServingAttention, ServingConfig, ServingEngine, SimulationResult,
     StepOutcome, StepSimStats,
@@ -82,8 +82,8 @@ impl ReplicaModel for ExactReplica {
         self.engine.cache().block_size()
     }
 
-    fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize {
-        self.engine.cache().prefix_overlap_tokens(prompt_tokens)
+    fn prefix_overlap(&self, probe: &mut PrefixProbe<'_>) -> usize {
+        self.engine.cache().prefix_overlap(probe)
     }
 
     fn cache_hit_rate(&self) -> f64 {

@@ -1,7 +1,7 @@
 //! The [`ReplicaModel`] trait: the replica surface fleet drivers consume.
 
 use crate::{AnalyticalReplica, ExactReplica, Fidelity};
-use kv_cache::{CacheManager, IngestReport, Token};
+use kv_cache::{CacheManager, IngestReport, PrefixProbe, Token};
 use serving::{
     CostModel, RequestMetrics, ServingAttention, ServingConfig, SimulationResult, StepOutcome,
     StepSimStats,
@@ -57,9 +57,12 @@ pub trait ReplicaModel: Send + std::fmt::Debug {
     /// KV block size used for admission and transfer-size accounting.
     fn block_size(&self) -> usize;
 
-    /// Leading prompt tokens this replica would serve without
-    /// recomputation. Read-only: never perturbs cache recency.
-    fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize;
+    /// Leading tokens of the probed prompt this replica would serve
+    /// without recomputation. Read-only: never perturbs cache recency, and
+    /// only looks up the probe's chain hashes, so one probe serves a sweep
+    /// over the whole fleet. The probe's block size must be
+    /// [`ReplicaModel::block_size`].
+    fn prefix_overlap(&self, probe: &mut PrefixProbe<'_>) -> usize;
 
     /// Token-level prefix-cache hit rate so far, in `[0, 1]`.
     fn cache_hit_rate(&self) -> f64;

@@ -8,21 +8,25 @@
 //! those questions — the *chain hash* of each leading full block of a
 //! token sequence — without holding block tables or token payloads.
 //!
+//! Blocks are named by the same chain hash the real cache uses
+//! ([`kv_cache::PrefixProbe`]), so one probe answers for both.
+//!
 //! Residency is bounded (`capacity` blocks) with deterministic
 //! sequence-number LRU eviction, so a store never grows past a few
-//! megabytes even under millions of requests. All maps are `BTreeMap`s;
+//! megabytes even under millions of requests. Residency lookups go through
+//! a hash map that is never iterated; LRU order lives in a `BTreeSet`, so
 //! behavior is a pure function of the call sequence.
 
-use kv_cache::{IngestReport, Token};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{Hash, Hasher};
+use attn_kernel::fxhash::FxHashMap;
+use kv_cache::{IngestReport, PrefixProbe, Token};
+use std::collections::BTreeSet;
 
 /// Bounded, deterministic store of resident KV block-chain hashes.
 #[derive(Debug, Clone)]
 pub struct PrefixStore {
     /// Chain hash of a resident full block → last-used sequence number.
-    by_hash: BTreeMap<u64, u64>,
+    /// Only looked up, inserted into and removed from (sim-lint R2).
+    by_hash: FxHashMap<u64, u64>,
     /// LRU index: (last-used sequence number, chain hash).
     by_seq: BTreeSet<(u64, u64)>,
     capacity: usize,
@@ -42,7 +46,7 @@ impl PrefixStore {
     pub fn new(capacity: usize, block_size: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
         PrefixStore {
-            by_hash: BTreeMap::new(),
+            by_hash: FxHashMap::default(),
             by_seq: BTreeSet::new(),
             capacity: capacity.max(1),
             block_size,
@@ -84,34 +88,20 @@ impl PrefixStore {
         }
     }
 
-    /// Chain hash of each leading full block of `tokens`, in order.
-    fn chain_hashes(&self, tokens: &[Token]) -> Vec<u64> {
-        let blocks = tokens.len() / self.block_size;
-        let mut hashes = Vec::with_capacity(blocks);
-        let mut chain = 0u64;
-        for b in 0..blocks {
-            let mut h = DefaultHasher::new();
-            chain.hash(&mut h);
-            tokens[b * self.block_size..(b + 1) * self.block_size].hash(&mut h);
-            chain = h.finish();
-            hashes.push(chain);
-        }
-        hashes
-    }
-
-    /// Leading tokens of `tokens` that are resident, at block granularity.
-    /// Read-only: does not touch recency (mirroring the read-only probe
-    /// contract of [`kv_cache::CacheManager::prefix_overlap_tokens`]).
-    pub fn overlap_tokens(&self, tokens: &[Token]) -> usize {
-        let mut covered = 0usize;
-        for hash in self.chain_hashes(tokens) {
-            if self.by_hash.contains_key(&hash) {
-                covered += self.block_size;
-            } else {
-                break;
-            }
-        }
-        covered.min(tokens.len())
+    /// Leading tokens of the probed slice that are resident, at block
+    /// granularity. Read-only: does not touch recency (mirroring the
+    /// read-only probe contract of [`kv_cache::CacheManager::prefix_overlap`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the probe's block size is not this store's.
+    pub fn overlap(&self, probe: &mut PrefixProbe<'_>) -> usize {
+        assert_eq!(
+            probe.block_size(),
+            self.block_size,
+            "probe block size differs from the store's"
+        );
+        probe.matched_tokens(|hash| self.by_hash.contains_key(&hash))
     }
 
     /// Marks one chain hash resident (or refreshes its recency), evicting
@@ -142,7 +132,7 @@ impl PrefixStore {
     pub fn insert_sequence(&mut self, tokens: &[Token]) -> usize {
         let mut covered = 0usize;
         let mut prefix_intact = true;
-        for hash in self.chain_hashes(tokens) {
+        for &hash in PrefixProbe::new(tokens, self.block_size).all_hashes() {
             let was_resident = self.touch(hash);
             if was_resident && prefix_intact {
                 covered += self.block_size;
@@ -168,7 +158,7 @@ impl PrefixStore {
     pub fn ingest_prefix(&mut self, tokens: &[Token]) -> IngestReport {
         let mut covered_blocks = 0usize;
         let mut imported_blocks = 0usize;
-        for hash in self.chain_hashes(tokens) {
+        for &hash in PrefixProbe::new(tokens, self.block_size).all_hashes() {
             if !self.touch(hash) {
                 imported_blocks += 1;
             }
@@ -192,19 +182,30 @@ mod tests {
         range.collect()
     }
 
+    fn overlap(s: &PrefixStore, tokens: &[Token]) -> usize {
+        s.overlap(&mut PrefixProbe::new(tokens, s.block_size()))
+    }
+
     #[test]
     fn overlap_grows_with_inserts_at_block_granularity() {
         let mut s = PrefixStore::new(1024, 16);
-        assert_eq!(s.overlap_tokens(&toks(0..40)), 0);
+        assert_eq!(overlap(&s, &toks(0..40)), 0);
         let covered = s.insert_sequence(&toks(0..40));
         assert_eq!(covered, 0);
         // Two full blocks resident; the 8-token tail is not.
-        assert_eq!(s.overlap_tokens(&toks(0..40)), 32);
-        assert_eq!(s.overlap_tokens(&toks(0..32)), 32);
+        assert_eq!(overlap(&s, &toks(0..40)), 32);
+        assert_eq!(overlap(&s, &toks(0..32)), 32);
         // A diverging second block stops the chain after one block.
         let mut diverged = toks(0..40);
         diverged[20] = 9999;
-        assert_eq!(s.overlap_tokens(&diverged), 16);
+        assert_eq!(overlap(&s, &diverged), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "probe block size differs")]
+    fn probing_at_another_block_size_is_a_caller_bug() {
+        let s = PrefixStore::new(1024, 16);
+        s.overlap(&mut PrefixProbe::new(&toks(0..64), 32));
     }
 
     #[test]
@@ -225,13 +226,13 @@ mod tests {
         s.insert_sequence(&toks(100..116));
         assert_eq!(s.len(), 2);
         // Refresh the first, then insert a third: the second is evicted.
-        assert_eq!(s.overlap_tokens(&toks(0..16)), 16);
+        assert_eq!(overlap(&s, &toks(0..16)), 16);
         s.insert_sequence(&toks(0..16));
         s.insert_sequence(&toks(200..216));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.overlap_tokens(&toks(0..16)), 16);
-        assert_eq!(s.overlap_tokens(&toks(100..116)), 0);
-        assert_eq!(s.overlap_tokens(&toks(200..216)), 16);
+        assert_eq!(overlap(&s, &toks(0..16)), 16);
+        assert_eq!(overlap(&s, &toks(100..116)), 0);
+        assert_eq!(overlap(&s, &toks(200..216)), 16);
     }
 
     #[test]
@@ -246,6 +247,6 @@ mod tests {
         assert_eq!(r2.covered_tokens, 32);
         assert_eq!(r2.imported_tokens, 0);
         // Ingested prefixes serve prefill overlap.
-        assert_eq!(s.overlap_tokens(&toks(0..40)), 32);
+        assert_eq!(overlap(&s, &toks(0..40)), 32);
     }
 }

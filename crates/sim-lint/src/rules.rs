@@ -4,7 +4,7 @@
 //! | Rule | Scope                         | What it flags                              |
 //! |------|-------------------------------|--------------------------------------------|
 //! | R1   | simulation crates, all code   | wall clocks, sleeps, OS entropy            |
-//! | R2   | simulation crates, all code   | iteration over `HashMap`/`HashSet`         |
+//! | R2   | simulation crates, all code   | iteration over `HashMap`/`HashSet` (and `Fx` variants) |
 //! | R3   | sim crates minus `sim-core`, non-test | raw casts of time-named values     |
 //! | R4   | every scanned crate, non-test | `.unwrap()` / `.expect(` in library code   |
 //! | R5   | `sim-core` + `cluster`, non-test | undocumented `pub` items                |
@@ -255,12 +255,18 @@ fn is_thread_call(stream: &[(usize, &str)], i: usize, sym: &FileSymbols, name: &
 
 // ------------------------------------------------------------------ R2
 
-/// Identifiers the file binds to `HashMap`/`HashSet` (fields, lets, params).
+/// Hash container type names whose iteration order is unspecified: std's,
+/// and the deterministic-hasher aliases (`attn_kernel::fxhash`), whose order
+/// is fixed per build but still an artifact of bucket layout.
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
+
+/// Identifiers the file binds to a [`HASH_TYPES`] container (fields, lets,
+/// params).
 fn collect_hash_idents(stream: &[(usize, &str)]) -> Vec<String> {
     let mut idents = Vec::new();
     for i in 0..stream.len() {
         let (line, t) = stream[i];
-        if t != "HashMap" && t != "HashSet" {
+        if !HASH_TYPES.contains(&t) {
             continue;
         }
         let tok = |j: usize| stream.get(j).map(|&(_, t)| t);
@@ -328,7 +334,7 @@ fn check_r2(stream: &[(usize, &str)], hash_idents: &[String], out: &mut Vec<Viol
                 rule: "R2",
                 line: idx + 1,
                 message: format!(
-                    "iteration over std hash container `{}` (`.{}()`): order is \
+                    "iteration over hash container `{}` (`.{}()`): order is \
                      nondeterministic; use BTreeMap/BTreeSet or sorted traversal",
                     stream[i - 2].1,
                     t
@@ -348,7 +354,7 @@ fn check_r2(stream: &[(usize, &str)], hash_idents: &[String], out: &mut Vec<Viol
                         rule: "R2",
                         line: stream[j].0 + 1,
                         message: format!(
-                            "`for … in` over std hash container `{name}`: order is \
+                            "`for … in` over hash container `{name}`: order is \
                              nondeterministic; use BTreeMap/BTreeSet or sorted traversal"
                         ),
                         waived: None,
@@ -861,6 +867,20 @@ mod tests {
         // BTreeMap iteration is fine.
         let src = "struct S { m: BTreeMap<u64, u32> }\nimpl S { fn f(&self) -> usize { self.m.values().count() } }\n";
         assert!(check("kv-cache", src).iter().all(|v| v.rule != "R2"));
+    }
+
+    #[test]
+    fn r2_covers_fx_hash_containers() {
+        let src = "struct S { m: FxHashMap<u64, u64> }\nimpl S { fn f(&self) -> usize { self.m.iter().count() } }\n";
+        let v = check("replica-fidelity", src);
+        assert_eq!(v.iter().filter(|v| v.rule == "R2").count(), 1);
+        let src = "struct S { m: FxHashMap<u64, u64> }\nimpl S { fn f(&self) -> bool { self.m.contains_key(&1) } }\n";
+        assert!(check("replica-fidelity", src)
+            .iter()
+            .all(|v| v.rule != "R2"));
+        let src = "let seen = FxHashSet::default();\nfor h in &seen {\n}\n";
+        let v = check("attn-kernel", src);
+        assert_eq!(v.iter().filter(|v| v.rule == "R2").count(), 1);
     }
 
     #[test]
