@@ -44,6 +44,20 @@ fn public_id(id: u64) -> u64 {
     id & !SHADOW_BIT
 }
 
+/// Health-check / control-loop period, seconds. Crash detection latency is
+/// at most one tick.
+const TICK_S: f64 = 0.5;
+
+/// Donor gain (tokens beyond what the target already holds) below which a
+/// migration or prewarm transfer is not attempted.
+const MIN_MIGRATION_TOKENS: usize = 32;
+
+/// How many backlog requests the prewarm donor scan considers.
+const PREWARM_CANDIDATES: usize = 8;
+
+/// Rolling window (completions) of the autoscaler's TTFT scale-up signal.
+const TTFT_WINDOW: usize = 64;
+
 /// Prefill/decode split of a disaggregated fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DisaggConfig {
@@ -61,16 +75,10 @@ pub struct TransferConfig {
     pub topology: FleetTopology,
     /// Warm-prefix migration on failover: stream the best donor's
     /// overlapping prefix blocks to the failover target instead of
-    /// recomputing them — unless the cost model says recompute wins.
+    /// recomputing them — unless the cost model says recompute wins. It
+    /// also prewarms: on revive/scale-up, the backlog's hottest warm prefix
+    /// is pushed to the cold replica before traffic lands on it.
     pub migration: bool,
-    /// Donor gain (tokens beyond what the target already holds) below which
-    /// migration is not attempted.
-    pub min_migration_tokens: usize,
-    /// On revive/scale-up, push the backlog's hottest warm prefix to the
-    /// cold replica before traffic lands on it.
-    pub prewarm_on_revive: bool,
-    /// How many backlog requests the prewarm donor scan considers.
-    pub prewarm_candidates: usize,
     /// Prefill/decode disaggregation; `None` keeps the fleet unified.
     pub disaggregation: Option<DisaggConfig>,
 }
@@ -82,24 +90,18 @@ impl TransferConfig {
         TransferConfig {
             topology,
             migration: true,
-            min_migration_tokens: 32,
-            prewarm_on_revive: true,
-            prewarm_candidates: 8,
             disaggregation: None,
         }
     }
 
     /// Disaggregated serving over `topology`: the first `prefill_replicas`
-    /// replicas prefill and stream KV, the rest decode. Migration stays off
-    /// so the handoff effect can be measured alone; enable it with the
-    /// field.
+    /// replicas prefill and stream KV, the rest decode. Migration (with
+    /// prewarm) stays off so the handoff effect can be measured alone;
+    /// enable it with the field.
     pub fn disaggregated(topology: FleetTopology, prefill_replicas: usize) -> Self {
         TransferConfig {
             topology,
             migration: false,
-            min_migration_tokens: 32,
-            prewarm_on_revive: false,
-            prewarm_candidates: 8,
             disaggregation: Some(DisaggConfig { prefill_replicas }),
         }
     }
@@ -117,8 +119,6 @@ pub struct AutoscalerConfig {
     pub scale_up_outstanding: f64,
     /// Scale down when mean outstanding falls below this.
     pub scale_down_outstanding: f64,
-    /// Rolling window (completions) for the TTFT scale-up signal.
-    pub ttft_window: usize,
     /// Seconds between a scale-up decision and the new replica serving.
     pub provision_delay_s: f64,
     /// Minimum seconds between scaling decisions.
@@ -142,7 +142,6 @@ impl AutoscalerConfig {
             max_replicas,
             scale_up_outstanding: 32.0,
             scale_down_outstanding: 4.0,
-            ttft_window: 64,
             provision_delay_s: 2.0,
             cooldown_s: 5.0,
         }
@@ -207,14 +206,10 @@ pub struct ControllerConfig {
     pub engine: ServingConfig,
     /// Replicas at t = 0.
     pub initial_replicas: usize,
-    /// Health-check / control-loop period, seconds. Crash detection
-    /// latency is at most one tick.
-    pub tick_s: f64,
-    /// Whether the control plane observes replica state at all. Off, the
-    /// fleet is flown blind: routers keep addressing crashed replicas.
-    pub health_checks: bool,
-    /// Whether incomplete work on a crashed replica is replayed elsewhere.
-    /// Off, that work is simply lost.
+    /// Whether the control plane health-checks replicas every tick and
+    /// replays a crashed replica's incomplete work elsewhere. Off, the
+    /// fleet is flown blind: routers keep addressing crashed replicas, and
+    /// work in flight at a crash is lost.
     pub failover: bool,
     /// TTFT service-level objective, ms; goodput counts completions within
     /// it, measured from original arrival.
@@ -247,8 +242,6 @@ impl ControllerConfig {
         ControllerConfig {
             engine,
             initial_replicas,
-            tick_s: 0.5,
-            health_checks: true,
             failover: true,
             slo_ttft_ms: 500.0,
             autoscaler: None,
@@ -266,7 +259,6 @@ impl ControllerConfig {
     /// plane is judged against.
     pub fn static_fleet(initial_replicas: usize, engine: ServingConfig) -> Self {
         ControllerConfig {
-            health_checks: false,
             failover: false,
             ..ControllerConfig::managed(initial_replicas, engine)
         }
@@ -397,7 +389,6 @@ impl FleetController {
             config.initial_replicas > 0,
             "a fleet needs at least one replica"
         );
-        assert!(config.tick_s > 0.0, "tick period must be positive");
         FleetController {
             config,
             router,
@@ -446,7 +437,7 @@ impl FleetController {
                 "disaggregation needs at least one prefill and one decode replica"
             );
             assert!(
-                config.health_checks && config.failover,
+                config.failover,
                 "disaggregation requires a managed fleet (health checks + failover)"
             );
             for (i, r) in replicas.iter_mut().enumerate() {
@@ -558,10 +549,7 @@ struct Sim {
 
 impl Sim {
     fn run(mut self, requests: &[Request], faults: &FaultPlan) -> ControlResult {
-        // The tick grid is quantized once at ingest; clamping to >= 1 ns
-        // keeps the catch-up loop below well-founded for degenerate
-        // configs.
-        let tick = SimDuration::from_secs_f64(self.config.tick_s).max(SimDuration::NANOSECOND);
+        let tick = SimDuration::from_secs_f64(TICK_S);
         let mut next_tick = SimTime::ZERO + tick;
         // Time of the Tick wake-up currently sitting in the queue, if any.
         // Ticks are only armed while the fleet has work, so an idle fleet's
@@ -971,11 +959,7 @@ impl Sim {
         probe: &mut PrefixProbe<'_>,
         req: Request,
     ) -> Option<Request> {
-        let (migration, min_gain) = match self.config.transfer.as_ref() {
-            Some(t) => (t.migration, t.min_migration_tokens.max(1)),
-            None => return Some(req),
-        };
-        if !migration {
+        if !self.config.transfer.as_ref().is_some_and(|t| t.migration) {
             return Some(req);
         }
         // Donor: the routable replica holding the longest resident prefix.
@@ -993,7 +977,7 @@ impl Sim {
             return Some(req);
         };
         let gain = donor_overlap.saturating_sub(target_overlap);
-        if gain < min_gain {
+        if gain < MIN_MIGRATION_TOKENS {
             return Some(req);
         }
         let block_size = self.block_size();
@@ -1196,19 +1180,16 @@ impl Sim {
     /// Revive/scale-up hook: push the backlog's hottest warm prefix to the
     /// cold replica before traffic lands on it.
     fn maybe_prewarm(&mut self, dst: usize) {
-        let (min_tokens, candidates) = match self.config.transfer.as_ref() {
-            Some(t) if t.migration && t.prewarm_on_revive => {
-                (t.min_migration_tokens.max(1), t.prewarm_candidates)
-            }
-            _ => return,
-        };
+        if !self.config.transfer.as_ref().is_some_and(|t| t.migration) {
+            return;
+        }
         let block_size = self.block_size();
         let mut best: Option<(usize, usize, Vec<Token>)> = None;
         for req in self
             .pending
             .iter()
             .chain(self.orphans.iter())
-            .take(candidates)
+            .take(PREWARM_CANDIDATES)
         {
             let tokens = req.prompt.to_tokens();
             let mut probe = PrefixProbe::new(&tokens, block_size);
@@ -1219,7 +1200,7 @@ impl Sim {
                     continue;
                 }
                 let overlap = r.model.prefix_overlap(&mut probe);
-                if overlap >= min_tokens && overlap > found.map_or(floor, |(_, b)| b) {
+                if overlap >= MIN_MIGRATION_TOKENS && overlap > found.map_or(floor, |(_, b)| b) {
                     found = Some((j, overlap));
                 }
             }
@@ -1433,16 +1414,16 @@ impl Sim {
     fn tick(&mut self) {
         self.mark("tick", None);
         self.observe_completions();
-        if self.config.health_checks {
+        if self.config.failover {
             self.detect();
-        }
-        if self.config.failover && !self.orphans.is_empty() && self.routable_count() > 0 {
-            let orphans = std::mem::take(&mut self.orphans);
-            for req in orphans {
-                if let Some(req) = self.route_now(req, true) {
-                    // No routable replica of the right role yet; retry at a
-                    // later tick.
-                    self.orphans.push(req);
+            if !self.orphans.is_empty() && self.routable_count() > 0 {
+                let orphans = std::mem::take(&mut self.orphans);
+                for req in orphans {
+                    if let Some(req) = self.route_now(req, true) {
+                        // No routable replica of the right role yet; retry
+                        // at a later tick.
+                        self.orphans.push(req);
+                    }
                 }
             }
         }
@@ -1505,11 +1486,6 @@ impl Sim {
     }
 
     fn observe_completions(&mut self) {
-        let cap = self
-            .config
-            .autoscaler
-            .as_ref()
-            .map_or(64, |a| a.ttft_window.max(1));
         let mut finished_shadows: Vec<(usize, u64)> = Vec::new();
         for (i, r) in self.replicas.iter_mut().enumerate() {
             let completed = r.model.completed_requests();
@@ -1527,7 +1503,7 @@ impl Sim {
             }
             r.completed_seen = completed.len();
         }
-        while self.ttft_window.len() > cap {
+        while self.ttft_window.len() > TTFT_WINDOW {
             self.ttft_window.pop_front();
         }
         for (src, shadow_id) in finished_shadows {
@@ -1538,7 +1514,6 @@ impl Sim {
     /// Health check: fold each replica's actual state into the control
     /// plane's observed state. Detection latency is the tick period.
     fn detect(&mut self) {
-        let failover = self.config.failover;
         let mut detected: Vec<usize> = Vec::new();
         for (i, r) in self.replicas.iter_mut().enumerate() {
             if r.observed == r.actual {
@@ -1556,11 +1531,7 @@ impl Sim {
                 limbo.len()
             ));
             self.mark("detect", Some(i));
-            if failover {
-                self.orphans.extend(limbo);
-            } else {
-                self.lost_ids.extend(limbo.iter().map(|q| q.id));
-            }
+            self.orphans.extend(limbo);
         }
     }
 

@@ -33,7 +33,6 @@ mod block;
 mod cache_manager;
 mod prefix_tree;
 mod probe;
-mod radix;
 pub mod stats;
 
 pub use allocator::{AllocError, BlockAllocator};
@@ -41,5 +40,4 @@ pub use block::{BlockId, BlockTable, DEFAULT_BLOCK_SIZE};
 pub use cache_manager::{CacheManager, CacheStats, IngestReport, Token};
 pub use prefix_tree::{PrefixForest, PrefixNode};
 pub use probe::PrefixProbe;
-pub use radix::{RadixCache, RadixStats};
 pub use stats::BatchPrefixStats;

@@ -1,13 +1,14 @@
 //! The analytical fidelity: closed-form replica timing, no kernel sim.
 //!
-//! [`AnalyticalReplica`] reproduces the serving engine's *scheduling*
-//! behavior — prefill-priority admission with the vLLM KV watermark,
-//! continuous batching, recompute preemption under KV pressure, drain
-//! limits — but prices every step with closed forms instead of simulating
-//! kernels: prefill from the engine's own FLOPs/bandwidth roofline
+//! [`AnalyticalReplica`] runs the serving engine's scheduling policy —
+//! arrival intake, prefill-priority admission with the vLLM KV watermark,
+//! and the drain deadline, all from [`serving::RequestQueue`] — with
+//! continuous batching and recompute preemption under KV pressure, but
+//! prices every step with closed forms instead of simulating kernels:
+//! prefill from the engine's own FLOPs/bandwidth roofline
 //! ([`serving::CostModel::prefill_ns`]), decode attention from the fitted
-//! [`crate::calibration`] coefficients, and the non-attention linear parts
-//! from [`serving::CostModel::decode_linear_ns`] — the same formula shape
+//! [`crate::calibration`] coefficients, and the non-attention parts from
+//! [`serving::CostModel::decode_non_attention_ns`] — the same step formula
 //! the exact engine uses, with the kernel-simulated report replaced by the
 //! calibrated closed form. A decode step costs O(batch) arithmetic.
 //!
@@ -15,10 +16,9 @@
 //! request pins `ceil(context / block_size)` blocks, and prefix warmth
 //! lives in a bounded [`PrefixStore`] of block-chain hashes. Divergences
 //! from exact fidelity are therefore: (a) timing is linear in batch and
-//! KV-bytes rather than kernel-simulated, (b) block sharing between
+//! KV-bytes rather than kernel-simulated, and (b) block sharing between
 //! concurrent same-prefix requests is not modeled (admission is slightly
-//! conservative), and (c) chunked prefill is approximated by
-//! prefill-priority scheduling. Fleet-level mean TTFT/TPOT stay within
+//! conservative). Fleet-level mean TTFT/TPOT stay within
 //! [`crate::ANALYTICAL_REL_ERROR_BOUND`] of exact on the validation
 //! scenarios; see DESIGN.md §2e for when this fidelity is sound.
 
@@ -26,11 +26,11 @@ use crate::calibration::{key_for, shard_head, AttnCalibration, CalibrationTable}
 use crate::{Fidelity, PrefixStore, ReplicaModel};
 use kv_cache::{CacheManager, IngestReport, PrefixProbe, Token, DEFAULT_BLOCK_SIZE};
 use serving::{
-    AggregateMetrics, CostModel, RequestMetrics, ServingConfig, SimulationResult, StepOutcome,
-    StepSimStats,
+    AggregateMetrics, CostModel, RequestMetrics, RequestQueue, ServingConfig, SimulationResult,
+    StepOutcome, StepSimStats,
 };
 use sim_core::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use workloads::Request;
 
 /// Blocks of prefix warmth an analytical replica tracks (bounded so a
@@ -56,20 +56,16 @@ pub struct AnalyticalReplica {
     config: ServingConfig,
     cost: CostModel,
     attn: AttnCalibration,
-    layers_per_stage: usize,
     prefix: PrefixStore,
-    requests: Vec<Request>,
-    waiting: VecDeque<usize>,
+    queue: RequestQueue,
     active: Vec<ActiveLite>,
     completed: Vec<RequestMetrics>,
-    next_arrival: usize,
     clock: SimTime,
     decode_steps: usize,
     batch_acc: usize,
     attn_time: SimDuration,
     total_time: SimDuration,
     preemptions: u64,
-    dropped: u64,
     speed_factor: f64,
     draining: bool,
     used_blocks: usize,
@@ -88,7 +84,6 @@ impl AnalyticalReplica {
             .cloned()
             .unwrap_or_else(|| AttnCalibration::roofline(head, &config.gpu, 2));
         let cost = CostModel::with_tp(config.model, config.gpu.clone(), tp);
-        let layers_per_stage = config.model.num_layers.div_ceil(config.parallel.pp);
         let prefix_blocks = config
             .kv_capacity_blocks
             .min(ANALYTICAL_PREFIX_STORE_BLOCKS);
@@ -96,20 +91,16 @@ impl AnalyticalReplica {
             prefix: PrefixStore::new(prefix_blocks, DEFAULT_BLOCK_SIZE),
             cost,
             attn,
-            layers_per_stage,
             config,
-            requests: Vec::new(),
-            waiting: VecDeque::new(),
+            queue: RequestQueue::default(),
             active: Vec::new(),
             completed: Vec::new(),
-            next_arrival: 0,
             clock: SimTime::ZERO,
             decode_steps: 0,
             batch_acc: 0,
             attn_time: SimDuration::ZERO,
             total_time: SimDuration::ZERO,
             preemptions: 0,
-            dropped: 0,
             speed_factor: 1.0,
             draining: false,
             used_blocks: 0,
@@ -119,13 +110,6 @@ impl AnalyticalReplica {
     /// The attention calibration pricing this replica's decode steps.
     pub fn calibration(&self) -> &AttnCalibration {
         &self.attn
-    }
-
-    fn deadline(&self) -> SimTime {
-        self.requests
-            .last()
-            .map_or(SimTime::ZERO, |r| SimTime::from_secs_f64(r.arrival_s))
-            + SimDuration::from_secs_f64(self.config.drain_limit_s)
     }
 
     /// Frees the most recently arrived active request and requeues it for
@@ -139,20 +123,8 @@ impl AnalyticalReplica {
             .0;
         let a = self.active.swap_remove(victim);
         self.used_blocks = self.used_blocks.saturating_sub(a.blocks);
-        self.waiting.push_front(a.req_idx);
+        self.queue.requeue_front(a.req_idx);
         Some(a.req_idx)
-    }
-
-    fn complete(&mut self, a: ActiveLite) {
-        self.used_blocks = self.used_blocks.saturating_sub(a.blocks);
-        let gaps = (a.produced - 1).max(1) as f64;
-        self.completed.push(RequestMetrics {
-            request_id: self.requests[a.req_idx].id,
-            ttft_ns: (a.first_token - a.arrival).as_ns_f64(),
-            tpot_ns: (self.clock - a.first_token).as_ns_f64() / gaps,
-            completion_ns: (self.clock - a.arrival).as_ns_f64(),
-            decode_tokens: a.produced,
-        });
     }
 }
 
@@ -163,114 +135,55 @@ impl ReplicaModel for AnalyticalReplica {
 
     fn submit(&mut self, request: Request) {
         assert!(!self.draining, "cannot submit to a draining replica");
-        if let Some(last) = self.requests.last() {
-            assert!(
-                last.arrival_s <= request.arrival_s,
-                "requests must be submitted in arrival order"
-            );
-        }
-        self.requests.push(request);
+        self.queue.push(request);
     }
 
     fn step(&mut self) -> StepOutcome {
-        // Admit arrivals onto the integer spine, exactly as the engine does.
-        while self.next_arrival < self.requests.len()
-            && SimTime::from_secs_f64(self.requests[self.next_arrival].arrival_s) <= self.clock
+        if let ControlFlow::Break(outcome) =
+            self.queue
+                .open_step(&mut self.clock, !self.active.is_empty(), &self.config)
         {
-            self.waiting.push_back(self.next_arrival);
-            self.next_arrival += 1;
-        }
-        if self.active.is_empty() && self.waiting.is_empty() {
-            if self.next_arrival >= self.requests.len() {
-                return StepOutcome::Idle;
-            }
-            self.clock = SimTime::from_secs_f64(self.requests[self.next_arrival].arrival_s);
-            return StepOutcome::Progress;
-        }
-        if self.clock > self.deadline() {
-            return StepOutcome::Idle;
+            return outcome;
         }
 
         let bs = self.prefix.block_size();
         let capacity = self.config.kv_capacity_blocks;
-        // Prefill-priority admission with the vLLM watermark, mirrored from
-        // the exact engine (block counts instead of an allocator).
-        if !self.waiting.is_empty() && self.active.len() < self.config.max_batch {
-            let mut chunk_tokens = 0usize;
-            let mut admitted: Vec<(usize, usize)> = Vec::new();
-            let mut budget_blocks = capacity.saturating_sub(self.used_blocks);
-            while let Some(&idx) = self.waiting.front() {
-                let req = &self.requests[idx];
-                let budget = self
-                    .config
-                    .model
-                    .max_context
-                    .saturating_sub(req.decode_tokens)
-                    .max(16);
-                let prompt_tokens = req.prompt.total_tokens().min(budget);
-                if self.active.len() + admitted.len() >= self.config.max_batch
-                    || (chunk_tokens + prompt_tokens > self.config.max_prefill_tokens
-                        && !admitted.is_empty())
-                {
-                    break;
-                }
-                let needed = prompt_tokens.div_ceil(bs) + req.decode_tokens.div_ceil(bs) + 2;
-                if needed > capacity {
-                    self.waiting.pop_front();
-                    self.dropped += 1;
-                    continue;
-                }
-                let engine_busy = !self.active.is_empty() || !admitted.is_empty();
-                if needed > budget_blocks && engine_busy {
-                    break;
-                }
-                budget_blocks = budget_blocks.saturating_sub(needed);
-                self.waiting.pop_front();
-                chunk_tokens += prompt_tokens;
-                admitted.push((idx, prompt_tokens));
-                if chunk_tokens >= self.config.max_prefill_tokens {
-                    break;
+        let admitted = self
+            .queue
+            .select_prefills(&self.config, self.active.len(), || {
+                capacity.saturating_sub(self.used_blocks)
+            });
+        if !admitted.is_empty() {
+            let mut computed_tokens = 0usize;
+            for &(idx, prompt_tokens) in &admitted {
+                let tokens = self.queue.request(idx).prompt.to_tokens();
+                let hit = self.prefix.insert_sequence(&tokens[..prompt_tokens]);
+                computed_tokens += prompt_tokens.saturating_sub(hit).max(1);
+            }
+            self.clock +=
+                SimDuration::from_ns_f64(self.cost.prefill_ns(computed_tokens) / self.speed_factor);
+            for (idx, prompt_tokens) in admitted {
+                let req = self.queue.request(idx);
+                let arrival = SimTime::from_secs_f64(req.arrival_s);
+                if req.decode_tokens <= 1 {
+                    self.completed
+                        .push(RequestMetrics::prefill_only(req.id, arrival, self.clock));
+                } else {
+                    let blocks = prompt_tokens.div_ceil(bs);
+                    self.used_blocks += blocks;
+                    let target = req.decode_tokens;
+                    self.active.push(ActiveLite {
+                        req_idx: idx,
+                        produced: 1,
+                        target,
+                        context_tokens: prompt_tokens,
+                        blocks,
+                        first_token: self.clock,
+                        arrival,
+                    });
                 }
             }
-            if !admitted.is_empty() {
-                let mut computed_tokens = 0usize;
-                for &(idx, prompt_tokens) in &admitted {
-                    let tokens = self.requests[idx].prompt.to_tokens();
-                    let hit = self.prefix.insert_sequence(&tokens[..prompt_tokens]);
-                    computed_tokens += prompt_tokens.saturating_sub(hit).max(1);
-                }
-                self.clock += SimDuration::from_ns_f64(
-                    self.cost.prefill_ns(computed_tokens) / self.speed_factor,
-                );
-                for (idx, prompt_tokens) in admitted {
-                    let req = &self.requests[idx];
-                    let arrival = SimTime::from_secs_f64(req.arrival_s);
-                    if req.decode_tokens <= 1 {
-                        let latency = (self.clock - arrival).as_ns_f64();
-                        self.completed.push(RequestMetrics {
-                            request_id: req.id,
-                            ttft_ns: latency,
-                            tpot_ns: 0.0,
-                            completion_ns: latency,
-                            decode_tokens: 1,
-                        });
-                    } else {
-                        let blocks = prompt_tokens.div_ceil(bs);
-                        self.used_blocks += blocks;
-                        let target = req.decode_tokens;
-                        self.active.push(ActiveLite {
-                            req_idx: idx,
-                            produced: 1,
-                            target,
-                            context_tokens: prompt_tokens,
-                            blocks,
-                            first_token: self.clock,
-                            arrival,
-                        });
-                    }
-                }
-                return StepOutcome::Progress;
-            }
+            return StepOutcome::Progress;
         }
         if self.active.is_empty() {
             // Everything waiting was dropped or nothing is admissible yet.
@@ -291,11 +204,11 @@ impl ReplicaModel for AnalyticalReplica {
         let sched_ns = self.attn.sched_ns(batch);
         let attention_ns =
             (kernel_ns * self.config.model.num_layers as f64 + sched_ns) / self.speed_factor;
-        let pp = self.config.parallel.pp;
-        let linear_ns = self.cost.decode_linear_ns(batch, self.layers_per_stage) * pp as f64;
-        let pp_transfer_ns = (pp - 1) as f64
-            * (8_000.0 + batch as f64 * self.config.model.hidden as f64 * 2.0 / 300.0);
-        let step_ns = attention_ns + (linear_ns + pp_transfer_ns) / self.speed_factor;
+        let step_ns = attention_ns
+            + self
+                .cost
+                .decode_non_attention_ns(batch, self.config.parallel.pp)
+                / self.speed_factor;
         let step = SimDuration::from_ns_f64(step_ns);
         self.clock += step;
         self.decode_steps += 1;
@@ -335,7 +248,14 @@ impl ReplicaModel for AnalyticalReplica {
             self.active[i].produced += 1;
             if self.active[i].produced >= self.active[i].target {
                 let a = self.active.swap_remove(i);
-                self.complete(a);
+                self.used_blocks = self.used_blocks.saturating_sub(a.blocks);
+                self.completed.push(RequestMetrics::decoded(
+                    self.queue.request(a.req_idx).id,
+                    a.arrival,
+                    a.first_token,
+                    self.clock,
+                    a.produced,
+                ));
             } else {
                 i += 1;
             }
@@ -352,7 +272,7 @@ impl ReplicaModel for AnalyticalReplica {
     }
 
     fn queue_depth(&self) -> usize {
-        self.waiting.len()
+        self.queue.waiting_len()
     }
 
     fn num_active(&self) -> usize {
@@ -360,7 +280,7 @@ impl ReplicaModel for AnalyticalReplica {
     }
 
     fn outstanding(&self) -> usize {
-        self.waiting.len() + self.active.len() + (self.requests.len() - self.next_arrival)
+        self.active.len() + self.queue.pending()
     }
 
     fn cache(&self) -> Option<&CacheManager> {
@@ -424,20 +344,9 @@ impl ReplicaModel for AnalyticalReplica {
     }
 
     fn take_incomplete(&mut self) -> Vec<Request> {
-        let mut indices: Vec<usize> = Vec::new();
-        for a in self.active.drain(..) {
-            indices.push(a.req_idx);
-        }
         self.used_blocks = 0;
-        indices.extend(self.waiting.drain(..));
-        indices.extend(self.next_arrival..self.requests.len());
-        self.next_arrival = self.requests.len();
-        indices.sort_unstable();
-        indices.dedup();
-        indices
-            .into_iter()
-            .map(|i| self.requests[i].clone())
-            .collect()
+        self.queue
+            .take_incomplete(self.active.drain(..).map(|a| a.req_idx))
     }
 
     fn step_sim_stats(&self) -> StepSimStats {
@@ -461,11 +370,9 @@ impl ReplicaModel for AnalyticalReplica {
             },
             overhead_samples: Vec::new(),
             step_sim: StepSimStats::default(),
-            unfinished: self.active.len()
-                + self.waiting.len()
-                + (self.requests.len() - self.next_arrival),
+            unfinished: self.active.len() + self.queue.pending(),
             preemptions: self.preemptions,
-            dropped: self.dropped,
+            dropped: self.queue.dropped(),
             plan_error: None,
             fault: None,
         }

@@ -40,7 +40,7 @@ pub trait ReplicaModel: Send + std::fmt::Debug {
     /// The replica's engine configuration.
     fn config(&self) -> &ServingConfig;
 
-    /// Requests admitted but not yet decoding.
+    /// Requests arrived but not yet admitted to the decode batch.
     fn queue_depth(&self) -> usize;
 
     /// Requests currently in the decode batch.

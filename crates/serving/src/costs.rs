@@ -100,12 +100,15 @@ impl CostModel {
             + self.allreduce_ns(t) * self.model.num_layers as f64
     }
 
-    /// Marginal cost of piggybacking `tokens` prefill tokens onto a decode
-    /// step (chunked prefill): the weights are already being streamed for
-    /// the decode GEMMs, so only the extra tensor-core work is paid.
-    pub fn chunked_prefill_marginal_ns(&self, tokens: usize) -> f64 {
-        let flops = 2.0 * tokens as f64 * self.model.total_params() / self.tp as f64;
-        flops / (self.gpu.tensor_flops() * GEMM_EFFICIENCY)
+    /// Non-attention time of one decode step with `batch` requests over `pp`
+    /// pipeline stages: every stage's linear layers, plus the activation
+    /// hand-offs across the `pp − 1` stage boundaries.
+    pub fn decode_non_attention_ns(&self, batch: usize, pp: usize) -> f64 {
+        let layers_per_stage = self.model.num_layers.div_ceil(pp);
+        let linear_ns = self.decode_linear_ns(batch, layers_per_stage) * pp as f64;
+        let handoff_ns =
+            (pp - 1) as f64 * (8_000.0 + batch as f64 * self.model.hidden as f64 * 2.0 / 300.0);
+        linear_ns + handoff_ns
     }
 
     /// Pre-attention task time per decode step (metadata preparation plus

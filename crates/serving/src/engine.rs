@@ -19,6 +19,7 @@ use crate::attention::ServingAttention;
 use crate::costs::CostModel;
 use crate::metrics::{AggregateMetrics, RequestMetrics};
 use crate::model::ModelSpec;
+use crate::queue::RequestQueue;
 use attn_kernel::{batch_timing_fingerprint, simulate_plan_trusted, DecodeBatch};
 use attn_kernel::{StepSimCache, StepSimReport, StepSimStats};
 use attn_math::HeadConfig;
@@ -26,7 +27,7 @@ use kv_cache::{AllocError, BlockTable, CacheManager, DEFAULT_BLOCK_SIZE};
 use serde::Serialize;
 use sim_core::{SimDuration, SimTime};
 use sim_gpu::{gpu_model_from_env, GpuSpec};
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use workloads::Request;
 
 /// Tensor/pipeline parallel layout (§8.5).
@@ -73,10 +74,6 @@ pub struct ServingConfig {
     pub kv_capacity_blocks: usize,
     /// Stop simulating this long after the last arrival (drain limit), s.
     pub drain_limit_s: f64,
-    /// Mix prefill chunks into decode steps (vLLM chunked prefill) instead
-    /// of running whole prefills with priority. Smooths TPOT spikes at the
-    /// cost of slightly slower time-to-first-token for short prompts.
-    pub chunked_prefill: bool,
 }
 
 impl ServingConfig {
@@ -92,7 +89,6 @@ impl ServingConfig {
             max_prefill_tokens: 8192,
             kv_capacity_blocks: 400_000,
             drain_limit_s: 600.0,
-            chunked_prefill: false,
         }
     }
 }
@@ -188,11 +184,12 @@ struct Active {
 
 /// A steppable continuous-batching serving engine over one replica.
 ///
-/// Holds the complete scheduler state — KV cache, waiting/prefilling/decoding
-/// queues, virtual clock, and metric accumulators — and advances one
-/// scheduling iteration per [`step`](ServingEngine::step) call. The attention
-/// backend is passed into `step` rather than owned, so a fleet driver can
-/// keep engines and backends in separate collections.
+/// Holds the complete scheduler state — KV cache, request queue, decode
+/// batch, virtual clock, and metric accumulators — and advances one
+/// scheduling iteration per [`step`](ServingEngine::step) call. Arrival
+/// intake and admission are [`RequestQueue`]'s, shared with every replica
+/// fidelity. The attention backend is passed into `step` rather than owned,
+/// so a fleet driver can keep engines and backends in separate collections.
 ///
 /// When the KV pool runs out, the engine preempts the most recently arrived
 /// running request (vLLM's recompute policy): its blocks are freed and it
@@ -202,15 +199,10 @@ pub struct ServingEngine {
     config: ServingConfig,
     cost: CostModel,
     shard_head: HeadConfig,
-    layers_per_stage: usize,
     cache: CacheManager,
-    requests: Vec<Request>,
-    waiting: VecDeque<usize>,
-    /// Chunked-prefill progress: (request idx, clamped prompt len, tokens done).
-    prefilling: VecDeque<(usize, usize, usize)>,
+    queue: RequestQueue,
     active: Vec<Active>,
     completed: Vec<RequestMetrics>,
-    next_arrival: usize,
     clock: SimTime,
     decode_steps: usize,
     batch_acc: usize,
@@ -218,15 +210,12 @@ pub struct ServingEngine {
     total_time: SimDuration,
     overhead_samples: Vec<(f64, f64)>,
     preemptions: u64,
-    dropped: u64,
     speed_factor: f64,
     draining: bool,
     step_cache: StepSimCache,
     /// Scratch arena: block-table vector recycled across decode steps so
     /// the per-step `DecodeBatch` rebuild allocates nothing in steady state.
     scratch_tables: Vec<BlockTable>,
-    /// Scratch arena for the chunked-prefill completion list.
-    scratch_finished: Vec<(usize, usize)>,
     /// First invariant fault that halted this replica, if any.
     fault: Option<EngineError>,
 }
@@ -235,7 +224,6 @@ impl ServingEngine {
     /// Creates an idle engine with an empty KV cache.
     pub fn new(config: ServingConfig) -> Self {
         let tp = config.parallel.tp;
-        let pp = config.parallel.pp;
         // Attention heads shard across TP ranks; each rank's kernel handles an
         // equal slice, so one rank's latency is the attention latency.
         let full_head = config.model.head;
@@ -245,20 +233,15 @@ impl ServingEngine {
             full_head.head_dim(),
         );
         let cost = CostModel::with_tp(config.model, config.gpu.clone(), tp);
-        let layers_per_stage = config.model.num_layers.div_ceil(pp);
         let cache = CacheManager::new(config.kv_capacity_blocks, DEFAULT_BLOCK_SIZE);
         ServingEngine {
             config,
             cost,
             shard_head,
-            layers_per_stage,
             cache,
-            requests: Vec::new(),
-            waiting: VecDeque::new(),
-            prefilling: VecDeque::new(),
+            queue: RequestQueue::default(),
             active: Vec::new(),
             completed: Vec::new(),
-            next_arrival: 0,
             clock: SimTime::ZERO,
             decode_steps: 0,
             batch_acc: 0,
@@ -266,12 +249,10 @@ impl ServingEngine {
             total_time: SimDuration::ZERO,
             overhead_samples: Vec::new(),
             preemptions: 0,
-            dropped: 0,
             speed_factor: 1.0,
             draining: false,
             step_cache: StepSimCache::default(),
             scratch_tables: Vec::new(),
-            scratch_finished: Vec::new(),
             fault: None,
         }
     }
@@ -302,13 +283,7 @@ impl ServingEngine {
     /// new work; route it elsewhere).
     pub fn submit(&mut self, request: Request) {
         assert!(!self.draining, "cannot submit to a draining engine");
-        if let Some(last) = self.requests.last() {
-            assert!(
-                last.arrival_s <= request.arrival_s,
-                "requests must be submitted in arrival order"
-            );
-        }
-        self.requests.push(request);
+        self.queue.push(request);
     }
 
     /// The engine's virtual clock.
@@ -321,9 +296,9 @@ impl ServingEngine {
         &self.config
     }
 
-    /// Requests admitted but not yet decoding (waiting + mid-prefill).
+    /// Requests arrived but not yet admitted to the decode batch.
     pub fn queue_depth(&self) -> usize {
-        self.waiting.len() + self.prefilling.len()
+        self.queue.waiting_len()
     }
 
     /// Requests currently in the decode batch.
@@ -334,10 +309,7 @@ impl ServingEngine {
     /// Submitted requests not yet completed or dropped (includes requests
     /// whose arrival time is still in the engine's future).
     pub fn outstanding(&self) -> usize {
-        self.waiting.len()
-            + self.prefilling.len()
-            + self.active.len()
-            + (self.requests.len() - self.next_arrival)
+        self.active.len() + self.queue.pending()
     }
 
     /// The replica's KV cache, for read-only introspection (prefix-overlap
@@ -372,7 +344,7 @@ impl ServingEngine {
     pub fn active_request_ids(&self) -> Vec<u64> {
         self.active
             .iter()
-            .map(|a| self.requests[a.req_idx].id)
+            .map(|a| self.queue.request(a.req_idx).id)
             .collect()
     }
 
@@ -412,7 +384,7 @@ impl ServingEngine {
     }
 
     /// Removes and returns every submitted-but-incomplete request — queued,
-    /// mid-prefill, decoding, or not yet admitted — in arrival order, for
+    /// decoding, or not yet arrived — in arrival order, for
     /// resubmission on another replica. Decoding requests are evicted
     /// through the same path as KV-pressure preemption (blocks freed,
     /// partial output discarded), so a requeued request restarts from
@@ -433,26 +405,7 @@ impl ServingEngine {
         if let Some(e) = free_fault {
             self.record_cache_fault("free_sequence (failover eviction)", e);
         }
-        indices.extend(self.prefilling.drain(..).map(|(idx, _, _)| idx));
-        indices.extend(self.waiting.drain(..));
-        indices.extend(self.next_arrival..self.requests.len());
-        self.next_arrival = self.requests.len();
-        // Submission order is arrival order, so sorting by index restores it.
-        indices.sort_unstable();
-        indices.dedup();
-        indices
-            .into_iter()
-            .map(|i| self.requests[i].clone())
-            .collect()
-    }
-
-    /// Drain deadline: this long past the latest submitted arrival, the
-    /// engine stops (remaining requests count as unfinished).
-    fn deadline(&self) -> SimTime {
-        self.requests
-            .last()
-            .map_or(SimTime::ZERO, |r| SimTime::from_secs_f64(r.arrival_s))
-            + SimDuration::from_secs_f64(self.config.drain_limit_s)
+        self.queue.take_incomplete(indices)
     }
 
     /// Frees the most recently arrived active request and requeues it for
@@ -471,13 +424,12 @@ impl ServingEngine {
         if let Err(e) = self.cache.free_sequence(&a.table) {
             self.record_cache_fault("free_sequence (preemption)", e);
         }
-        self.waiting.push_front(a.req_idx);
+        self.queue.requeue_front(a.req_idx);
         Some(a.req_idx)
     }
 
     /// Runs one scheduling iteration: admit arrivals, then either prefill,
-    /// decode (with an optional chunked-prefill share), or jump the idle
-    /// clock forward to the next pending arrival.
+    /// decode, or jump the idle clock forward to the next pending arrival.
     ///
     /// # Panics
     ///
@@ -489,238 +441,96 @@ impl ServingEngine {
         if self.fault.is_some() {
             return StepOutcome::Idle;
         }
-        // Admit arrivals. Arrival seconds quantize onto the integer spine
-        // once, here; the round trip through `as_secs_f64` is exact at
-        // simulation scale, so rewritten arrival times re-admit identically.
-        while self.next_arrival < self.requests.len()
-            && SimTime::from_secs_f64(self.requests[self.next_arrival].arrival_s) <= self.clock
+        if let ControlFlow::Break(outcome) =
+            self.queue
+                .open_step(&mut self.clock, !self.active.is_empty(), &self.config)
         {
-            self.waiting.push_back(self.next_arrival);
-            self.next_arrival += 1;
-        }
-        if self.active.is_empty() && self.waiting.is_empty() && self.prefilling.is_empty() {
-            if self.next_arrival >= self.requests.len() {
-                return StepOutcome::Idle;
-            }
-            self.clock = SimTime::from_secs_f64(self.requests[self.next_arrival].arrival_s);
-            return StepOutcome::Progress;
-        }
-        if self.clock > self.deadline() {
-            return StepOutcome::Idle;
+            return outcome;
         }
 
-        if self.config.chunked_prefill {
-            // Admit waiting requests into the prefilling queue (same
-            // admission control as below, but no dedicated prefill step).
-            while let Some(&idx) = self.waiting.front() {
-                let req = &self.requests[idx];
-                let budget = self
-                    .config
-                    .model
-                    .max_context
-                    .saturating_sub(req.decode_tokens)
-                    .max(16);
-                let prompt_tokens = req.prompt.total_tokens().min(budget);
-                let bs = DEFAULT_BLOCK_SIZE;
-                let needed = prompt_tokens.div_ceil(bs) + req.decode_tokens.div_ceil(bs) + 2;
-                if needed > self.cache.allocator().capacity() {
-                    self.waiting.pop_front();
-                    self.dropped += 1;
-                    continue;
-                }
-                let engine_busy = !self.active.is_empty() || !self.prefilling.is_empty();
-                if self.active.len() + self.prefilling.len() >= self.config.max_batch
-                    || (needed > self.cache.available_blocks() && engine_busy)
-                {
-                    break;
-                }
-                self.waiting.pop_front();
-                // Prefix-cached prompt blocks skip recomputation: start the
-                // chunk cursor past the resident prefix (read-only probe; at
-                // least one token is always computed for fresh logits).
-                let tokens = req.prompt.to_tokens();
-                let clamped = &tokens[..prompt_tokens];
-                let cached = self
-                    .cache
-                    .prefix_overlap_tokens(clamped)
-                    .min(prompt_tokens.saturating_sub(1));
-                self.prefilling.push_back((idx, prompt_tokens, cached));
-            }
-        }
-
-        // Prefill-priority scheduling (vLLM default): admit waiting requests
-        // up to the token budget, then decode.
-        if !self.config.chunked_prefill
-            && !self.waiting.is_empty()
-            && self.active.len() < self.config.max_batch
-        {
-            let mut chunk_tokens = 0usize;
-            let mut admitted = Vec::new();
-            let mut budget_blocks = self.cache.available_blocks();
-            while let Some(&idx) = self.waiting.front() {
-                let req = &self.requests[idx];
-                // Clamp over-long prompts to the model context window.
-                let budget = self
-                    .config
-                    .model
-                    .max_context
-                    .saturating_sub(req.decode_tokens)
-                    .max(16);
-                let prompt_tokens = req.prompt.total_tokens().min(budget);
-                if self.active.len() + admitted.len() >= self.config.max_batch
-                    || (chunk_tokens + prompt_tokens > self.config.max_prefill_tokens
-                        && !admitted.is_empty())
-                {
-                    break;
-                }
-                // Admission control (vLLM watermark): the request's whole
-                // lifetime (prompt + decode budget) must fit in currently
-                // obtainable blocks, or it waits for departures. Prefix hits
-                // only make this conservative.
-                let bs = DEFAULT_BLOCK_SIZE;
-                let needed = prompt_tokens.div_ceil(bs) + req.decode_tokens.div_ceil(bs) + 2;
-                if needed > self.cache.allocator().capacity() {
-                    // Can never fit, even alone: reject rather than livelock.
-                    self.waiting.pop_front();
-                    self.dropped += 1;
-                    continue;
-                }
-                let engine_busy = !self.active.is_empty() || !admitted.is_empty();
-                if needed > budget_blocks && engine_busy {
-                    break;
-                }
-                budget_blocks = budget_blocks.saturating_sub(needed);
-                self.waiting.pop_front();
-                chunk_tokens += prompt_tokens;
-                admitted.push((idx, prompt_tokens));
-                if chunk_tokens >= self.config.max_prefill_tokens {
-                    break;
-                }
-            }
-            if !admitted.is_empty() {
-                // Prefix caching discounts prefill compute (vLLM APC /
-                // SGLang): prompt blocks already resident in the KV cache are
-                // reused, so only each request's uncached suffix is computed.
-                // At least one token is always computed — the final partial
-                // block is never cached and the request needs fresh logits.
-                let mut computed_tokens = 0usize;
-                let mut placed = Vec::with_capacity(admitted.len());
-                let mut admitting = admitted.into_iter();
-                'admit: while let Some((idx, prompt_tokens)) = admitting.next() {
-                    let tokens = self.requests[idx].prompt.to_tokens()[..prompt_tokens].to_vec();
-                    let (table, hit_tokens) = loop {
-                        let hits_before = self.cache.stats().hit_tokens;
-                        match self.cache.insert_sequence(&tokens) {
-                            Ok(t) => {
-                                let hit = self.cache.stats().hit_tokens - hits_before;
-                                break (t, hit as usize);
+        let admitted = self
+            .queue
+            .select_prefills(&self.config, self.active.len(), || {
+                self.cache.available_blocks()
+            });
+        if !admitted.is_empty() {
+            // Prefix caching discounts prefill compute (vLLM APC /
+            // SGLang): prompt blocks already resident in the KV cache are
+            // reused, so only each request's uncached suffix is computed.
+            // At least one token is always computed — the final partial
+            // block is never cached and the request needs fresh logits.
+            let mut computed_tokens = 0usize;
+            let mut placed = Vec::with_capacity(admitted.len());
+            let mut admitting = admitted.into_iter();
+            'admit: while let Some((idx, prompt_tokens)) = admitting.next() {
+                let tokens = self.queue.request(idx).prompt.to_tokens()[..prompt_tokens].to_vec();
+                let (table, hit_tokens) = loop {
+                    let hits_before = self.cache.stats().hit_tokens;
+                    match self.cache.insert_sequence(&tokens) {
+                        Ok(t) => {
+                            let hit = self.cache.stats().hit_tokens - hits_before;
+                            break (t, hit as usize);
+                        }
+                        Err(_) => {
+                            self.preemptions += 1;
+                            if self.preempt_latest().is_none() {
+                                panic!("a single request exceeds the KV pool");
                             }
-                            Err(_) => {
-                                self.preemptions += 1;
-                                if self.preempt_latest().is_none() {
-                                    panic!("a single request exceeds the KV pool");
+                            if self.fault.is_some() {
+                                // Preemption hit a cache fault: freeing made
+                                // no room, so retrying can spin forever.
+                                // Restore the un-admitted requests to the
+                                // waiting queue (they count as unfinished)
+                                // and halt.
+                                let rest: Vec<usize> = std::iter::once(idx)
+                                    .chain(admitting.by_ref().map(|(i, _)| i))
+                                    .collect();
+                                for &r in rest.iter().rev() {
+                                    self.queue.requeue_front(r);
                                 }
-                                if self.fault.is_some() {
-                                    // Preemption hit a cache fault: freeing
-                                    // made no room, so retrying can spin
-                                    // forever. Restore the un-admitted
-                                    // requests to the waiting queue (they
-                                    // count as unfinished) and halt.
-                                    let rest: Vec<usize> = std::iter::once(idx)
-                                        .chain(admitting.by_ref().map(|(i, _)| i))
-                                        .collect();
-                                    for &r in rest.iter().rev() {
-                                        self.waiting.push_front(r);
-                                    }
-                                    break 'admit;
-                                }
+                                break 'admit;
                             }
                         }
-                    };
-                    computed_tokens += prompt_tokens.saturating_sub(hit_tokens).max(1);
-                    placed.push((idx, table));
-                }
-                self.clock += SimDuration::from_ns_f64(
-                    self.cost.prefill_ns(computed_tokens) / self.speed_factor,
-                );
-                for (idx, table) in placed {
-                    let req = &self.requests[idx];
-                    let arrival = SimTime::from_secs_f64(req.arrival_s);
-                    if req.decode_tokens <= 1 {
-                        let request_id = req.id;
-                        if let Err(e) = self.cache.free_sequence(&table) {
-                            // Completion metrics still count; the fault
-                            // halts the replica on the next step.
-                            self.record_cache_fault("free_sequence (prefill-only)", e);
-                        }
-                        let latency = (self.clock - arrival).as_ns_f64();
-                        self.completed.push(RequestMetrics {
-                            request_id,
-                            ttft_ns: latency,
-                            tpot_ns: 0.0,
-                            completion_ns: latency,
-                            decode_tokens: 1,
-                        });
-                    } else {
-                        let target = req.decode_tokens;
-                        self.active.push(Active {
-                            req_idx: idx,
-                            table,
-                            produced: 1,
-                            target,
-                            first_token: self.clock,
-                            arrival,
-                        });
                     }
-                }
-                return StepOutcome::Progress;
-            }
-            // Nothing admissible right now: fall through to decode so
-            // departures can free KV blocks for the waiting requests.
-        }
-        // Chunked prefill: carve this step's chunk from the prefill queue.
-        // The completion list is a recycled scratch vector: taken here,
-        // returned to the arena on every exit path below.
-        let mut prefill_chunk = 0usize;
-        let mut finished_prefills = std::mem::take(&mut self.scratch_finished);
-        finished_prefills.clear();
-        if self.config.chunked_prefill {
-            let mut budget = self.config.max_prefill_tokens;
-            while budget > 0 {
-                let Some(front) = self.prefilling.front_mut() else {
-                    break;
                 };
-                let take = (front.1 - front.2).min(budget);
-                front.2 += take;
-                budget -= take;
-                prefill_chunk += take;
-                if front.2 >= front.1 {
-                    let (idx, prompt_tokens, _) = (front.0, front.1, front.2);
-                    self.prefilling.pop_front();
-                    finished_prefills.push((idx, prompt_tokens));
+                computed_tokens += prompt_tokens.saturating_sub(hit_tokens).max(1);
+                placed.push((idx, table));
+            }
+            self.clock +=
+                SimDuration::from_ns_f64(self.cost.prefill_ns(computed_tokens) / self.speed_factor);
+            for (idx, table) in placed {
+                let req = self.queue.request(idx);
+                let arrival = SimTime::from_secs_f64(req.arrival_s);
+                if req.decode_tokens <= 1 {
+                    let record = RequestMetrics::prefill_only(req.id, arrival, self.clock);
+                    if let Err(e) = self.cache.free_sequence(&table) {
+                        // Completion metrics still count; the fault halts
+                        // the replica on the next step.
+                        self.record_cache_fault("free_sequence (prefill-only)", e);
+                    }
+                    self.completed.push(record);
                 } else {
-                    break;
+                    let target = req.decode_tokens;
+                    self.active.push(Active {
+                        req_idx: idx,
+                        table,
+                        produced: 1,
+                        target,
+                        first_token: self.clock,
+                        arrival,
+                    });
                 }
             }
-        }
-
-        if self.active.is_empty() && prefill_chunk == 0 {
-            // Everything waiting was dropped or nothing is runnable yet.
-            self.scratch_finished = finished_prefills;
             return StepOutcome::Progress;
         }
         if self.active.is_empty() {
-            // Pure prefill-chunk step.
-            self.clock +=
-                SimDuration::from_ns_f64(self.cost.prefill_ns(prefill_chunk) / self.speed_factor);
-            self.admit_finished_prefills(&finished_prefills);
-            self.scratch_finished = finished_prefills;
+            // Everything waiting was dropped or nothing is admissible yet.
             return StepOutcome::Progress;
         }
-
-        // Decode step. The block-table vector comes from the scratch arena
-        // (recovered from the batch below), so steady-state decode allocates
-        // no fresh tables.
+        // Nothing admissible right now: decode so departures can free KV
+        // blocks for the waiting requests. The block-table vector comes from
+        // the scratch arena (recovered from the batch below), so steady-state
+        // decode allocates no fresh tables.
         let mut tables = std::mem::take(&mut self.scratch_tables);
         tables.truncate(self.active.len());
         for (i, a) in self.active.iter().enumerate() {
@@ -751,7 +561,6 @@ impl ServingEngine {
                         // In-flight requests surface as `unfinished`.
                         self.record_fault(EngineError::Plan(e.to_string()));
                         self.scratch_tables = batch.into_tables();
-                        self.scratch_finished = finished_prefills;
                         return StepOutcome::Idle;
                     }
                 };
@@ -762,7 +571,6 @@ impl ServingEngine {
                         // rejects — same clean halt as a planning failure.
                         self.record_fault(EngineError::Simulate(e.to_string()));
                         self.scratch_tables = batch.into_tables();
-                        self.scratch_finished = finished_prefills;
                         return StepOutcome::Idle;
                     }
                 };
@@ -779,19 +587,13 @@ impl ServingEngine {
         let attention_ns = (report.total_ns - report.scheduling_ns)
             * self.config.model.num_layers as f64
             + report.scheduling_ns;
-        let pp = self.config.parallel.pp;
-        let linear_ns = self
-            .cost
-            .decode_linear_ns(batch.num_queries(), self.layers_per_stage)
-            * pp as f64;
-        // Pipeline stages hand activations over (pp - 1) boundaries.
-        let pp_transfer_ns = (pp - 1) as f64
-            * (8_000.0
-                + batch.num_queries() as f64 * self.config.model.hidden as f64 * 2.0 / 300.0);
-        let prefill_ns = self.cost.chunked_prefill_marginal_ns(prefill_chunk);
         // A straggler (speed factor < 1) stretches every step it executes.
         let attention_ns = attention_ns / self.speed_factor;
-        let step_ns = attention_ns + (linear_ns + pp_transfer_ns + prefill_ns) / self.speed_factor;
+        let step_ns = attention_ns
+            + self
+                .cost
+                .decode_non_attention_ns(batch.num_queries(), self.config.parallel.pp)
+                / self.speed_factor;
         // Fig. 16 samples per scheduler *invocation*: a cached step ran no
         // scheduler, so there is nothing to overlap with pre-attention work.
         if !cache_hit {
@@ -808,11 +610,9 @@ impl ServingEngine {
         self.batch_acc += batch.num_queries();
         self.attn_time += SimDuration::from_ns_f64(attention_ns);
         self.total_time += step;
-        // Return the table vector to the scratch arena, then the completion
-        // list; both keep their capacity for the next step.
+        // Return the table vector to the scratch arena; it keeps its
+        // capacity for the next step.
         self.scratch_tables = batch.into_tables();
-        self.admit_finished_prefills(&finished_prefills);
-        self.scratch_finished = finished_prefills;
 
         let mut i = 0;
         while i < self.active.len() {
@@ -853,64 +653,18 @@ impl ServingEngine {
                 if let Err(e) = self.cache.free_sequence(&a.table) {
                     self.record_cache_fault("free_sequence (completion)", e);
                 }
-                let gaps = (a.produced - 1).max(1) as f64;
-                self.completed.push(RequestMetrics {
-                    request_id: self.requests[a.req_idx].id,
-                    ttft_ns: (a.first_token - a.arrival).as_ns_f64(),
-                    tpot_ns: (self.clock - a.first_token).as_ns_f64() / gaps,
-                    completion_ns: (self.clock - a.arrival).as_ns_f64(),
-                    decode_tokens: a.produced,
-                });
+                self.completed.push(RequestMetrics::decoded(
+                    self.queue.request(a.req_idx).id,
+                    a.arrival,
+                    a.first_token,
+                    self.clock,
+                    a.produced,
+                ));
             } else {
                 i += 1;
             }
         }
         StepOutcome::Progress
-    }
-
-    /// Moves requests whose chunked prefill just completed into the decode
-    /// batch, producing their first token.
-    fn admit_finished_prefills(&mut self, finished: &[(usize, usize)]) {
-        for &(idx, prompt_tokens) in finished {
-            let tokens = self.requests[idx].prompt.to_tokens()[..prompt_tokens].to_vec();
-            let table = match self.cache.insert_sequence(&tokens) {
-                Ok(table) => table,
-                Err(e) => {
-                    // Admission reserved these blocks, so a failure here is
-                    // corrupt pool accounting: requeue the request (counted
-                    // as unfinished) and halt via the recorded fault.
-                    self.record_cache_fault("insert_sequence (chunked prefill)", e);
-                    self.waiting.push_front(idx);
-                    continue;
-                }
-            };
-            let req = &self.requests[idx];
-            let arrival = SimTime::from_secs_f64(req.arrival_s);
-            if req.decode_tokens <= 1 {
-                let request_id = req.id;
-                if let Err(e) = self.cache.free_sequence(&table) {
-                    self.record_cache_fault("free_sequence (chunked prefill-only)", e);
-                }
-                let latency = (self.clock - arrival).as_ns_f64();
-                self.completed.push(RequestMetrics {
-                    request_id,
-                    ttft_ns: latency,
-                    tpot_ns: 0.0,
-                    completion_ns: latency,
-                    decode_tokens: 1,
-                });
-            } else {
-                let target = req.decode_tokens;
-                self.active.push(Active {
-                    req_idx: idx,
-                    table,
-                    produced: 1,
-                    target,
-                    first_token: self.clock,
-                    arrival,
-                });
-            }
-        }
     }
 
     /// Step-simulation cache counters so far (hits skip the sim-gpu event
@@ -938,12 +692,9 @@ impl ServingEngine {
             },
             overhead_samples: self.overhead_samples,
             step_sim: self.step_cache.stats(),
-            unfinished: self.active.len()
-                + self.waiting.len()
-                + self.prefilling.len()
-                + (self.requests.len() - self.next_arrival),
+            unfinished: self.active.len() + self.queue.pending(),
             preemptions: self.preemptions,
-            dropped: self.dropped,
+            dropped: self.queue.dropped(),
             plan_error: match &self.fault {
                 Some(EngineError::Plan(e)) => Some(e.clone()),
                 _ => None,
@@ -1135,29 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_prefill_serves_everyone_and_smooths_tail_latency() {
-        // A bursty moment: many long prompts arriving together makes
-        // prefill-priority stall decoding (P99 TPOT spikes); chunking mixes
-        // the prefills into decode steps.
-        let requests = short_trace(10.0);
-        let mut cfg = config();
-        cfg.max_prefill_tokens = 2048;
-        let mut pat1 = LazyPat::new();
-        let priority = simulate_serving(&cfg, &mut pat1, &requests);
-        cfg.chunked_prefill = true;
-        let mut pat2 = LazyPat::new();
-        let chunked = simulate_serving(&cfg, &mut pat2, &requests);
-        assert_eq!(chunked.unfinished, 0);
-        assert_eq!(chunked.metrics.completed, requests.len());
-        assert!(
-            chunked.metrics.p99_tpot_ms < priority.metrics.p99_tpot_ms * 1.5,
-            "chunked {:.1} ms vs priority {:.1} ms",
-            chunked.metrics.p99_tpot_ms,
-            priority.metrics.p99_tpot_ms
-        );
-    }
-
-    #[test]
     fn empty_request_list_is_fine() {
         let mut pat = LazyPat::new();
         let result = simulate_serving(&config(), &mut pat, &[]);
@@ -1325,8 +1053,8 @@ mod tests {
     #[test]
     fn scratch_arena_reuse_keeps_repeat_runs_bit_identical() {
         // Step-in-a-loop check for the per-engine scratch arena: reused
-        // BlockTable capacity and the recycled finished-prefill buffer must
-        // never leak state between steps or between runs.
+        // BlockTable capacity must never leak state between steps or
+        // between runs.
         let requests = short_trace(5.0);
         let run = || {
             let mut pat = LazyPat::new();

@@ -37,6 +37,7 @@ mod costs;
 mod engine;
 mod metrics;
 mod model;
+mod queue;
 
 pub use attention::{ServingAttention, Stateless};
 pub use attn_kernel::{StepSimCache, StepSimReport, StepSimStats, DEFAULT_STEP_CACHE_CAPACITY};
@@ -48,3 +49,4 @@ pub use engine::{
 };
 pub use metrics::{percentile, AggregateMetrics, RequestMetrics};
 pub use model::{ModelSpec, MoeSpec};
+pub use queue::RequestQueue;

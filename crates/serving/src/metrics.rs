@@ -6,6 +6,7 @@
 
 use serde::Serialize;
 use sim_core::stats::Samples;
+use sim_core::SimTime;
 
 pub use sim_core::stats::percentile;
 
@@ -23,6 +24,41 @@ pub struct RequestMetrics {
     pub completion_ns: f64,
     /// Output tokens produced.
     pub decode_tokens: usize,
+}
+
+impl RequestMetrics {
+    /// The record of a request that finished with its prefill at `now`:
+    /// its single token is both the first and the last.
+    pub fn prefill_only(request_id: u64, arrival: SimTime, now: SimTime) -> Self {
+        let latency = (now - arrival).as_ns_f64();
+        RequestMetrics {
+            request_id,
+            ttft_ns: latency,
+            tpot_ns: 0.0,
+            completion_ns: latency,
+            decode_tokens: 1,
+        }
+    }
+
+    /// The record of a request that produced `produced` tokens, the first
+    /// at `first_token` and the last at `now`. TPOT spreads the decode time
+    /// over `max(produced − 1, 1)` inter-token gaps.
+    pub fn decoded(
+        request_id: u64,
+        arrival: SimTime,
+        first_token: SimTime,
+        now: SimTime,
+        produced: usize,
+    ) -> Self {
+        let gaps = produced.saturating_sub(1).max(1) as f64;
+        RequestMetrics {
+            request_id,
+            ttft_ns: (first_token - arrival).as_ns_f64(),
+            tpot_ns: (now - first_token).as_ns_f64() / gaps,
+            completion_ns: (now - arrival).as_ns_f64(),
+            decode_tokens: produced,
+        }
+    }
 }
 
 /// Aggregates over completed requests.

@@ -1,12 +1,10 @@
-//! Prefix-reuse showdown: replays a trace through both KV-cache designs —
-//! the vLLM-style hash-chained cache and the SGLang-style radix trie — and
-//! shows that while both collapse the physical footprint, neither reduces
-//! what a prefix-oblivious attention kernel must *load* (§3.1): only PAT's
-//! packing does.
+//! Prefix-reuse showdown: replays a trace through the vLLM-style
+//! hash-chained KV cache and shows that while reuse collapses the physical
+//! footprint, it does not reduce what a prefix-oblivious attention kernel
+//! must *load* (§3.1): only PAT's packing does.
 //!
 //! Run with `cargo run --release --example cache_showdown`.
 
-use kv_cache::RadixCache;
 use pat::prelude::*;
 
 fn main() {
@@ -19,12 +17,10 @@ fn main() {
     println!("qwen-b trace: {} requests\n", requests.len());
 
     let mut hash = CacheManager::new(2_000_000, 16);
-    let mut radix = RadixCache::new(2_000_000, 16);
     let mut tables = Vec::new();
     for r in &requests {
         let tokens = r.prompt.to_tokens();
         tables.push(hash.insert_sequence(&tokens).expect("pool sized"));
-        radix.insert_sequence(&tokens).expect("pool sized");
     }
     let logical_blocks: usize = tables.iter().map(|t| t.blocks().len()).sum();
     println!(
@@ -36,12 +32,6 @@ fn main() {
         "vLLM hash chaining",
         hash.stats().hit_rate() * 100.0,
         hash.allocator().used_blocks()
-    );
-    println!(
-        "{:<28} {:>13.1}% {:>12}",
-        "SGLang radix trie",
-        radix.stats().hit_rate() * 100.0,
-        radix.allocator().used_blocks()
     );
     println!(
         "{:<28} {:>14} {:>12}",

@@ -1,38 +1,61 @@
-//! Integration: the two prefix-reuse designs (vLLM-style hash chaining and
-//! SGLang-style radix trie) agree on sharing behaviour across the trace
-//! models, and neither changes what the attention kernel must load — the
-//! paper's §3.1 observation that prefix *reuse* is orthogonal to prefix-aware
-//! *execution*.
+//! Integration: the hash-chained KV cache shares exactly the block-aligned
+//! prefixes a hash-free model of the sharing rule predicts across the trace
+//! models, and reuse does not change what the attention kernel must load —
+//! the paper's §3.1 observation that prefix *reuse* is orthogonal to
+//! prefix-aware *execution*.
 
-use kv_cache::{BatchPrefixStats, CacheManager, RadixCache};
+use kv_cache::{BatchPrefixStats, CacheManager, Token};
+use std::collections::btree_map::{BTreeMap, Entry};
 use workloads::{generate_trace, TraceConfig, TraceKind};
 
+/// Hash-free reference for a pool that never evicts: a full block hits
+/// exactly when the block-aligned prefix ending at it was inserted before.
+/// Returns the hit tokens of inserting `prompts` in order. Each prefix gets
+/// an id, keyed by its parent prefix's id and its last block's tokens, so
+/// one lookup compares one block, not a whole prefix.
+fn model_hit_tokens(prompts: &[Vec<Token>], block_size: usize) -> u64 {
+    let mut ids: BTreeMap<(usize, &[Token]), usize> = BTreeMap::new();
+    let mut hits = 0;
+    for tokens in prompts {
+        // Id 0 is the empty prefix.
+        let mut parent = 0;
+        for block in tokens.chunks_exact(block_size) {
+            let fresh = ids.len() + 1;
+            parent = match ids.entry((parent, block)) {
+                Entry::Occupied(e) => {
+                    hits += block.len() as u64;
+                    *e.get()
+                }
+                Entry::Vacant(e) => *e.insert(fresh),
+            };
+        }
+    }
+    hits
+}
+
 #[test]
-fn hash_and_radix_caches_agree_on_trace_hit_tokens() {
+fn cache_hits_match_a_hash_free_prefix_model() {
+    let mut shared_kinds = 0;
     for kind in TraceKind::all() {
-        let requests = generate_trace(TraceConfig {
+        let prompts: Vec<Vec<Token>> = generate_trace(TraceConfig {
             kind,
             rate_per_s: 8.0,
             duration_s: 30.0,
             seed: 11,
-        });
-        let mut hash = CacheManager::new(2_000_000, 16);
-        let mut radix = RadixCache::new(2_000_000, 16);
-        for r in &requests {
-            let tokens = r.prompt.to_tokens();
-            let a = hash.insert_sequence(&tokens).expect("pool sized");
-            let b = radix.insert_sequence(&tokens).expect("pool sized");
-            assert_eq!(a.num_tokens(), b.num_tokens());
+        })
+        .iter()
+        .map(|r| r.prompt.to_tokens())
+        .collect();
+        let mut cache = CacheManager::new(2_000_000, 16);
+        for tokens in &prompts {
+            let table = cache.insert_sequence(tokens).expect("pool sized");
+            assert_eq!(table.num_tokens(), tokens.len());
         }
-        // Identical block-aligned sharing opportunities on chain-structured
-        // prompts -> identical hit tokens.
-        assert_eq!(
-            hash.stats().hit_tokens,
-            radix.stats().hit_tokens,
-            "{} trace",
-            kind.name()
-        );
+        let expected = model_hit_tokens(&prompts, 16);
+        assert_eq!(cache.stats().hit_tokens, expected, "{} trace", kind.name());
+        shared_kinds += usize::from(expected > 0);
     }
+    assert!(shared_kinds > 0, "the traces must exercise sharing");
 }
 
 #[test]
@@ -63,34 +86,22 @@ fn reuse_reduces_footprint_but_not_logical_kv() {
 }
 
 #[test]
-fn both_cache_designs_share_split_prefixes() {
-    // Radix edge splitting shares a common prefix even when the first insert
-    // created one long edge; the hash cache shares here too (chains are
-    // per-block), so both must find the 32-token overlap.
-    let mut radix = RadixCache::new(1024, 16);
-    let mut hash = CacheManager::new(1024, 16);
+fn cache_manager_shares_split_prefixes() {
+    // `b` shares only the first two blocks of `a`, which was inserted as
+    // one longer run; block chains are per block, so exactly those 32
+    // tokens are shared.
+    let mut cache = CacheManager::new(1024, 16);
     let mut a: Vec<u32> = (0..64).collect();
     let mut b: Vec<u32> = (0..32).collect();
     a.extend(500..516);
     b.extend(900..932);
-    for cache_run in 0..2 {
-        let (ta, tb) = if cache_run == 0 {
-            (
-                radix.insert_sequence(&a).unwrap(),
-                radix.insert_sequence(&b).unwrap(),
-            )
-        } else {
-            (
-                hash.insert_sequence(&a).unwrap(),
-                hash.insert_sequence(&b).unwrap(),
-            )
-        };
-        assert_eq!(
-            ta.blocks()[..2],
-            tb.blocks()[..2],
-            "32-token overlap shared"
-        );
-        assert_ne!(ta.blocks()[2], tb.blocks()[2]);
-    }
-    assert_eq!(radix.stats().hit_tokens, hash.stats().hit_tokens);
+    let ta = cache.insert_sequence(&a).unwrap();
+    let tb = cache.insert_sequence(&b).unwrap();
+    assert_eq!(
+        ta.blocks()[..2],
+        tb.blocks()[..2],
+        "32-token overlap shared"
+    );
+    assert_ne!(ta.blocks()[2], tb.blocks()[2]);
+    assert_eq!(cache.stats().hit_tokens, 32);
 }
