@@ -8,6 +8,11 @@
 //! fleet hit rate for the prefix-heavy traces (toolagent, conversation) at
 //! ≥ 4 replicas, while holding dramatically less duplicated KV memory —
 //! the cross-replica analogue of PAT's within-batch prefix awareness.
+//!
+//! Results are persisted to `target/bench-results/fig18_cluster_routing.json`
+//! and, for the committed record, `BENCH_fig18_cluster_routing.json` at the
+//! repository root. The sweep is seeded and virtual-time only, so both files
+//! are bit-stable across reruns and thread counts.
 
 use cluster::{
     Cluster, ClusterConfig, ConsistentHashPrefix, FleetRow, LeastOutstanding, PrefixAffinity,
@@ -128,4 +133,12 @@ fn main() {
         }
     );
     save_json("fig18_cluster_routing", &rows).expect("persist bench results");
+    let root_copy = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../BENCH_fig18_cluster_routing.json");
+    std::fs::write(
+        &root_copy,
+        pat_bench::artifact_json(&rows).expect("serializable"),
+    )
+    .expect("write BENCH_fig18_cluster_routing.json");
+    println!("wrote {}", root_copy.display());
 }
