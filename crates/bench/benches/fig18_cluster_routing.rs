@@ -14,7 +14,7 @@
 //! repository root. The sweep is seeded and virtual-time only, so both files
 //! are bit-stable across reruns and thread counts.
 
-use cluster::{
+use controller::{
     Cluster, ClusterConfig, ConsistentHashPrefix, FleetRow, LeastOutstanding, PrefixAffinity,
     RoundRobin, Router,
 };

@@ -23,10 +23,9 @@
 //! committed `BENCH_failover.json` and skips the managed-beats-static
 //! assertion (the tiny trace is too short for stable phase comparisons).
 
-use cluster::{PrefixAffinity, RoundRobin, Router};
 use controller::{
     window_stats, AdmissionConfig, AutoscalerConfig, ControlResult, ControllerConfig, FaultEvent,
-    FaultKind, FaultPlan, FleetController,
+    FaultKind, FaultPlan, FleetController, PrefixAffinity, RoundRobin, Router,
 };
 use pat_bench::{banner, save_json};
 use rand::SeedableRng;

@@ -27,10 +27,10 @@
 //! never touches the committed JSON and skips the speedup/volume assertions
 //! (tiny runs are dominated by fixed costs).
 
-use cluster::{Cluster, ClusterConfig, LeastOutstanding, RoundRobin};
 use controller::{
-    window_stats, AdmissionConfig, AutoscalerConfig, ControllerConfig, FaultEvent, FaultKind,
-    FaultPlan, FleetController, TransferConfig,
+    window_stats, AdmissionConfig, AutoscalerConfig, Cluster, ClusterConfig, ControllerConfig,
+    FaultEvent, FaultKind, FaultPlan, FleetController, LeastOutstanding, RoundRobin,
+    TransferConfig,
 };
 use kv_transfer::{FleetTopology, LinkSpec};
 use pat_bench::{banner, save_json};

@@ -36,10 +36,9 @@
 //! Set `PAT_BENCH_SMOKE=1` for a scaled-down pipeline smoke run that skips
 //! the win assertions and never touches the committed artifact.
 
-use cluster::{LeastOutstanding, PrefixAffinity, Router};
 use controller::{
     window_stats, ControlResult, ControllerConfig, FaultEvent, FaultKind, FaultPlan,
-    FleetController, TransferConfig,
+    FleetController, LeastOutstanding, PrefixAffinity, Router, TransferConfig,
 };
 use kv_transfer::{FleetTopology, LinkSpec};
 use pat_bench::{banner, save_json};

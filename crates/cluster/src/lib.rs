@@ -1,65 +1,18 @@
-//! # cluster — a multi-replica serving simulator with prefix-aware routing
+//! # cluster — re-exports of the fixed-fleet API
 //!
-//! Scales the single-engine serving simulator (the `serving` crate) out to a
-//! fleet: N independent replicas, each with its own KV cache and attention
-//! backend, co-simulated in deterministic virtual time behind a pluggable
-//! [`Router`]. Because replicas never share KV state, the router's placement
-//! decides where prefixes stay warm — the same observation that motivates
-//! prefix-aware attention inside a replica (PAT, §3.1) applies across
-//! replicas: a request routed away from its cached prefix pays full
-//! recomputation and duplicates KV memory.
-//!
-//! Four policies ship with the crate:
-//!
-//! * [`RoundRobin`] — the oblivious baseline;
-//! * [`LeastOutstanding`] — classic load balancing, prefix-blind;
-//! * [`ConsistentHashPrefix`] — sticky prefix placement via a hash ring,
-//!   load-blind;
-//! * [`PrefixAffinity`] — probes every replica's live cache (read-only) and
-//!   scores `overlap_tokens − α · outstanding`, falling back to least-loaded
-//!   when no replica holds a useful overlap.
-//!
-//! The driver guarantees routing cannot change what is computed — only
-//! where: any single request's decoded output is identical under every
-//! policy (a property the test suite checks), while fleet latency, per-replica
-//! cache hit rates, load balance, and cross-replica KV duplication vary.
-//!
-//! ## Example
+//! The fixed fleet ([`Cluster`]), its routers and its metrics live in the
+//! `controller` crate, whose event loop drives every fleet. This crate only
+//! re-exports the names the separate `perfbench/` package imports, so that
+//! package builds unchanged; in-workspace code imports from `controller`.
 //!
 //! ```no_run
-//! use cluster::{Cluster, ClusterConfig, PrefixAffinity};
-//! use serving::{ModelSpec, ServingConfig};
-//! use workloads::{generate_trace, TraceConfig, TraceKind};
-//!
-//! let requests = generate_trace(TraceConfig {
-//!     kind: TraceKind::ToolAgent,
-//!     rate_per_s: 16.0,
-//!     duration_s: 30.0,
-//!     seed: 1,
-//! });
-//! let config = ClusterConfig::new(4, ServingConfig::single_gpu(ModelSpec::llama3_8b()));
-//! let result =
-//!     Cluster::with_lazy_pat(&config, Box::new(PrefixAffinity::new())).run(&requests);
-//! println!(
-//!     "fleet TPOT {:.2} ms, hit rate {:.1}%, imbalance {:.2}",
-//!     result.fleet.mean_tpot_ms,
-//!     100.0 * result.fleet_hit_rate,
-//!     result.load_imbalance,
-//! );
+//! use cluster::{
+//!     load_imbalance, Cluster, ClusterConfig, ClusterResult, LeastOutstanding, PrefixAffinity,
+//!     ReplicaView, RoundRobin, Router,
+//! };
 //! ```
 
-#![warn(missing_docs)]
-
-mod metrics;
-mod router;
-mod sim;
-
-pub use metrics::{
-    duplicated_blocks, kv_block_bytes, load_imbalance, ClusterResult, FleetMergeScratch, FleetRow,
-    ReplicaSummary,
+pub use controller::{
+    load_imbalance, Cluster, ClusterConfig, ClusterResult, LeastOutstanding, PrefixAffinity,
+    ReplicaView, RoundRobin, Router,
 };
-pub use router::{
-    ConsistentHashPrefix, LeastOutstanding, PrefixAffinity, ReplicaRole, ReplicaState, ReplicaView,
-    RoleScoped, RoundRobin, Router,
-};
-pub use sim::{Cluster, ClusterConfig};

@@ -1,14 +1,15 @@
 //! The fleet controller: a deterministic control plane over a set of
-//! serving-engine replicas.
+//! serving-engine replicas, and the one event loop that drives every fleet.
 //!
-//! Wraps the same steppable [`ReplicaModel`] replicas as
-//! [`cluster::Cluster`], but adds the operational layer a real deployment
-//! needs: injected faults ([`crate::FaultPlan`]), a periodic health checker
-//! that distinguishes a replica's *actual* state from what the control plane
-//! has *observed*, failover that tears incomplete requests off a crashed
-//! replica and replays them elsewhere (paying the cold-prefix recompute
-//! cost), an SLO-aware autoscaler with graceful drain, and admission
-//! control that queues or sheds load at saturation.
+//! Steps [`ReplicaModel`] replicas behind a [`Router`] and adds the
+//! operational layer a real deployment needs: injected faults
+//! ([`crate::FaultPlan`]), a periodic health checker that distinguishes a
+//! replica's *actual* state from what the control plane has *observed*,
+//! failover that tears incomplete requests off a crashed replica and
+//! replays them elsewhere (paying the cold-prefix recompute cost), an
+//! SLO-aware autoscaler with graceful drain, and admission control that
+//! queues or sheds load at saturation. A fixed fleet ([`crate::Cluster`]) is
+//! the same loop run static and fault-free, with its own finisher.
 //!
 //! Everything runs on the shared [`sim_core`] spine: virtual time is
 //! integer nanoseconds ([`SimTime`]), and the run is driven by a single
@@ -20,8 +21,11 @@
 //! `(config, router, fault plan, trace)` down to the bit.
 
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
-use crate::metrics::{ControlEvent, ControlResult, TimelineEvent};
-use cluster::{kv_block_bytes, ReplicaRole, ReplicaState, ReplicaView, Router};
+use crate::metrics::{
+    duplicated_blocks, kv_block_bytes, load_imbalance, ClusterResult, ControlEvent, ControlResult,
+    ReplicaSummary, TimelineEvent,
+};
+use crate::router::{ReplicaRole, ReplicaState, ReplicaView, Router};
 use kv_cache::{PrefixProbe, Token};
 use kv_transfer::{FleetTopology, TransferKind, TransferPlane};
 use pat_core::LazyPat;
@@ -293,13 +297,9 @@ struct Replica {
 }
 
 impl Replica {
-    fn fresh(
-        fidelity: Fidelity,
-        engine_cfg: &ServingConfig,
-        backend: Box<dyn ServingAttention>,
-    ) -> Self {
+    fn fresh(model: Box<dyn ReplicaModel>) -> Self {
         Replica {
-            model: new_replica(fidelity, engine_cfg, backend),
+            model,
             actual: ReplicaState::Healthy,
             observed: ReplicaState::Healthy,
             role: ReplicaRole::Unified,
@@ -312,13 +312,8 @@ impl Replica {
         }
     }
 
-    fn provisioning(
-        fidelity: Fidelity,
-        engine_cfg: &ServingConfig,
-        backend: Box<dyn ServingAttention>,
-        ready: SimTime,
-    ) -> Self {
-        let mut r = Replica::fresh(fidelity, engine_cfg, backend);
+    fn provisioning(model: Box<dyn ReplicaModel>, ready: SimTime) -> Self {
+        let mut r = Replica::fresh(model);
         r.actual = ReplicaState::Dead;
         r.observed = ReplicaState::Dead;
         r.restart_at = Some(ready);
@@ -358,13 +353,16 @@ enum PendingTransfer {
     Handoff { req: Request },
 }
 
+/// Builds the attention backend of every replica the control plane creates.
+type BackendFactory = Box<dyn FnMut() -> Box<dyn ServingAttention>>;
+
 /// The fleet control plane. Build one per run; [`run`](FleetController::run)
 /// consumes it.
 pub struct FleetController {
     config: ControllerConfig,
     router: Box<dyn Router>,
     faults: FaultPlan,
-    backend_factory: Box<dyn FnMut() -> Box<dyn ServingAttention>>,
+    backend_factory: BackendFactory,
 }
 
 impl std::fmt::Debug for FleetController {
@@ -416,12 +414,6 @@ impl FleetController {
     /// Panics if requests are unsorted or ids repeat, or if the router
     /// picks a non-routable replica.
     pub fn run(self, requests: &[Request]) -> ControlResult {
-        assert!(
-            requests
-                .windows(2)
-                .all(|w| w[0].arrival_s <= w[1].arrival_s),
-            "requests must be sorted by arrival"
-        );
         let FleetController {
             config,
             router,
@@ -429,7 +421,10 @@ impl FleetController {
             mut backend_factory,
         } = self;
         let mut replicas: Vec<Replica> = (0..config.initial_replicas)
-            .map(|_| Replica::fresh(config.fidelity, &config.engine, backend_factory()))
+            .map(|_| {
+                let backend = backend_factory();
+                Replica::fresh(new_replica(config.fidelity, &config.engine, backend))
+            })
             .collect();
         if let Some(disagg) = config.transfer.as_ref().and_then(|t| t.disaggregation) {
             assert!(
@@ -448,61 +443,56 @@ impl FleetController {
                 };
             }
         }
-        let origin: BTreeMap<u64, SimTime> = requests
-            .iter()
-            .map(|r| (r.id, SimTime::from_secs_f64(r.arrival_s)))
-            .collect();
-        assert_eq!(origin.len(), requests.len(), "request ids must be unique");
-        assert!(
-            requests.iter().all(|r| !is_shadow(r.id)),
-            "request ids must not use the reserved shadow bit"
-        );
-        let plane = config
-            .transfer
-            .as_ref()
-            .map(|t| TransferPlane::new(t.topology.clone()));
-        let sim = Sim {
-            peak_replicas: config.initial_replicas,
-            config,
-            router,
-            backend_factory,
-            replicas,
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            origin,
-            submit: BTreeMap::new(),
-            pending: VecDeque::new(),
-            orphans: Vec::new(),
-            shed_ids: Vec::new(),
-            lost_ids: Vec::new(),
-            events: Vec::new(),
-            timeline: Vec::new(),
-            ttft_window: VecDeque::new(),
-            failovers: 0,
-            refilled_cold: 0,
-            refilled_after_partial_migration: 0,
-            migrated_prefix_tokens: 0,
-            migrations: 0,
-            prewarm_transfers: 0,
-            disagg_handoffs: 0,
-            plane,
-            pending_transfers: BTreeMap::new(),
-            disagg_waiting: BTreeMap::new(),
-            crashes: 0,
-            scale_ups: 0,
-            scale_downs: 0,
-            cooldown_until: SimTime::ZERO,
-            fidelity_switches: 0,
-        };
-        sim.run(requests, &faults)
+        let mut sim = Sim::new(config, router, backend_factory, replicas, requests);
+        sim.run(requests, &faults);
+        sim.finish(requests)
     }
+}
+
+/// Runs `models` behind `router` as a fixed fleet — a static, fault-free
+/// controller run — and reports it from the final replicas. Such a run
+/// never builds a replica, so it needs no backend factory.
+///
+/// # Panics
+///
+/// As [`FleetController::run`].
+pub(crate) fn run_fixed(
+    engine: ServingConfig,
+    models: Vec<Box<dyn ReplicaModel>>,
+    router: Box<dyn Router>,
+    requests: &[Request],
+) -> ClusterResult {
+    let config = ControllerConfig::static_fleet(models.len(), engine);
+    let replicas = models.into_iter().map(Replica::fresh).collect();
+    let no_backends: BackendFactory =
+        Box::new(|| unreachable!("a static, fault-free fleet builds no replica"));
+    let mut sim = Sim::new(config, router, no_backends, replicas, requests);
+    sim.run(requests, &FaultPlan::none());
+    sim.cluster_result()
+}
+
+/// Router views of `replicas`, each in its observed state — or shown as
+/// [`ReplicaState::Dead`] when `eligible` rejects it (a replica of the
+/// wrong role, say), so any router skips it without index remapping.
+fn router_views(replicas: &[Replica], eligible: impl Fn(&Replica) -> bool) -> Vec<ReplicaView<'_>> {
+    replicas
+        .iter()
+        .map(|r| {
+            let state = if eligible(r) {
+                r.observed
+            } else {
+                ReplicaState::Dead
+            };
+            ReplicaView::new(r.model.as_ref(), state)
+        })
+        .collect()
 }
 
 /// Live state of one controller run.
 struct Sim {
     config: ControllerConfig,
     router: Box<dyn Router>,
-    backend_factory: Box<dyn FnMut() -> Box<dyn ServingAttention>>,
+    backend_factory: BackendFactory,
     replicas: Vec<Replica>,
     now: SimTime,
     /// The event queue driving the run: arrivals, faults, restarts, speed
@@ -514,6 +504,9 @@ struct Sim {
     /// are relative to this; the delta to `origin` converts them back to
     /// user-perceived latencies.
     submit: BTreeMap<u64, SimTime>,
+    /// `(request id, replica)` of every fresh admission routed (failover
+    /// re-routes excluded), in routing order.
+    assignments: Vec<(u64, usize)>,
     /// Admission-control backpressure queue (FIFO).
     pending: VecDeque<Request>,
     /// Requests recovered from crashed replicas, awaiting re-routing.
@@ -548,7 +541,78 @@ struct Sim {
 }
 
 impl Sim {
-    fn run(mut self, requests: &[Request], faults: &FaultPlan) -> ControlResult {
+    /// A run of `replicas` over `requests`, before its first event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` are unsorted by arrival, if two share an id, or
+    /// if an id uses the reserved shadow bit.
+    fn new(
+        config: ControllerConfig,
+        router: Box<dyn Router>,
+        backend_factory: BackendFactory,
+        replicas: Vec<Replica>,
+        requests: &[Request],
+    ) -> Self {
+        assert!(
+            requests
+                .windows(2)
+                .all(|w| w[0].arrival_s <= w[1].arrival_s),
+            "requests must be sorted by arrival"
+        );
+        let origin: BTreeMap<u64, SimTime> = requests
+            .iter()
+            .map(|r| (r.id, SimTime::from_secs_f64(r.arrival_s)))
+            .collect();
+        assert_eq!(origin.len(), requests.len(), "request ids must be unique");
+        assert!(
+            requests.iter().all(|r| !is_shadow(r.id)),
+            "request ids must not use the reserved shadow bit"
+        );
+        let plane = config
+            .transfer
+            .as_ref()
+            .map(|t| TransferPlane::new(t.topology.clone()));
+        Sim {
+            peak_replicas: config.initial_replicas,
+            config,
+            router,
+            backend_factory,
+            replicas,
+            now: SimTime::ZERO,
+            queue: EventQueue::new(),
+            origin,
+            submit: BTreeMap::new(),
+            assignments: Vec::with_capacity(requests.len()),
+            pending: VecDeque::new(),
+            orphans: Vec::new(),
+            shed_ids: Vec::new(),
+            lost_ids: Vec::new(),
+            events: Vec::new(),
+            timeline: Vec::new(),
+            ttft_window: VecDeque::new(),
+            failovers: 0,
+            refilled_cold: 0,
+            refilled_after_partial_migration: 0,
+            migrated_prefix_tokens: 0,
+            migrations: 0,
+            prewarm_transfers: 0,
+            disagg_handoffs: 0,
+            plane,
+            pending_transfers: BTreeMap::new(),
+            disagg_waiting: BTreeMap::new(),
+            crashes: 0,
+            scale_ups: 0,
+            scale_downs: 0,
+            cooldown_until: SimTime::ZERO,
+            fidelity_switches: 0,
+        }
+    }
+
+    /// The event loop: serves `requests` under `faults`, quiesces every
+    /// live replica, and records whatever could not be served as lost.
+    /// A finisher then reads the outcome.
+    fn run(&mut self, requests: &[Request], faults: &FaultPlan) {
         let tick = SimDuration::from_secs_f64(TICK_S);
         let mut next_tick = SimTime::ZERO + tick;
         // Time of the Tick wake-up currently sitting in the queue, if any.
@@ -663,10 +727,10 @@ impl Sim {
         for q in orphans {
             self.lose(q.id);
         }
-
-        self.finish(requests)
     }
 
+    /// The managed-fleet finisher: every request's outcome, with latencies
+    /// corrected to original arrivals.
     fn finish(mut self, requests: &[Request]) -> ControlResult {
         let mut all: Vec<RequestMetrics> = Vec::new();
         let mut preemptions = 0u64;
@@ -738,6 +802,60 @@ impl Sim {
             timeline: self.timeline,
             shed_ids: self.shed_ids,
             lost_ids: self.lost_ids,
+        }
+    }
+
+    /// The fixed-fleet finisher: one summary per replica, and fleet metrics
+    /// over them. A static, fault-free run keeps every replica's first
+    /// incarnation, so the final replicas hold the whole run.
+    fn cluster_result(self) -> ClusterResult {
+        let mut routed = vec![0usize; self.replicas.len()];
+        for &(_, replica) in &self.assignments {
+            routed[replica] += 1;
+        }
+        let block_bytes = kv_block_bytes(&self.config.engine.model, self.block_size());
+        let resident: Vec<Vec<u64>> = self
+            .replicas
+            .iter()
+            .map(|r| r.model.resident_block_hashes())
+            .collect();
+        let duplicated_kv_blocks = duplicated_blocks(&resident);
+        let (mut hit_tokens, mut total_tokens) = (0u64, 0u64);
+        let per_replica: Vec<ReplicaSummary> = self
+            .replicas
+            .into_iter()
+            .zip(&routed)
+            .map(|(r, &routed)| {
+                let (hit, miss) = r.model.cache_hit_miss_tokens();
+                hit_tokens += hit;
+                total_tokens += hit + miss;
+                ReplicaSummary {
+                    routed,
+                    prefix_hit_rate: r.model.cache_hit_rate(),
+                    fidelity: r.model.fidelity(),
+                    result: r.model.into_result(),
+                }
+            })
+            .collect();
+        let all: Vec<RequestMetrics> = per_replica
+            .iter()
+            .flat_map(|s| s.result.per_request.iter().copied())
+            .collect();
+        ClusterResult {
+            fleet: AggregateMetrics::from_requests(&all),
+            fleet_hit_rate: if total_tokens == 0 {
+                0.0
+            } else {
+                hit_tokens as f64 / total_tokens as f64
+            },
+            load_imbalance: load_imbalance(&routed),
+            duplicated_kv_blocks,
+            duplicated_kv_bytes: duplicated_kv_blocks as u64 * block_bytes,
+            assignments: self.assignments,
+            unfinished: per_replica.iter().map(|s| s.result.unfinished).sum(),
+            preemptions: per_replica.iter().map(|s| s.result.preemptions).sum(),
+            dropped: per_replica.iter().map(|s| s.result.dropped).sum(),
+            per_replica,
         }
     }
 
@@ -861,19 +979,7 @@ impl Sim {
     fn route_now(&mut self, req: Request, is_failover: bool) -> Option<Request> {
         let wanted = self.wanted_role(req.id);
         let target = {
-            let views: Vec<ReplicaView<'_>> = self
-                .replicas
-                .iter()
-                .map(|r| {
-                    let view =
-                        ReplicaView::with_state_and_role(r.model.as_ref(), r.observed, r.role);
-                    if r.role.serves(wanted) {
-                        view
-                    } else {
-                        view.masked()
-                    }
-                })
-                .collect();
+            let views = router_views(&self.replicas, |r| r.role.serves(wanted));
             if !views.iter().any(|v| v.state().is_routable()) {
                 return Some(req);
             }
@@ -888,6 +994,9 @@ impl Sim {
             );
             target
         };
+        if !is_failover {
+            self.assignments.push((req.id, target));
+        }
         if !self.replicas[target].actual.is_routable() {
             self.replicas[target].limbo.push(req);
         } else if is_failover {
@@ -1030,21 +1139,10 @@ impl Sim {
         let Some(req) = self.disagg_waiting.remove(&public_id(shadow_id)) else {
             return; // the original was already lost
         };
-        let wanted = ReplicaRole::Decode;
         let target = {
-            let views: Vec<ReplicaView<'_>> = self
-                .replicas
-                .iter()
-                .map(|r| {
-                    let view =
-                        ReplicaView::with_state_and_role(r.model.as_ref(), r.observed, r.role);
-                    if r.role.serves(wanted) && r.actual.is_routable() {
-                        view
-                    } else {
-                        view.masked()
-                    }
-                })
-                .collect();
+            let views = router_views(&self.replicas, |r| {
+                r.role.serves(ReplicaRole::Decode) && r.actual.is_routable()
+            });
             if !views.iter().any(|v| v.state().is_routable()) {
                 // No decode replica up: the KV is stranded on the prefill
                 // side; the original reroutes (and re-prefills) later.
@@ -1560,8 +1658,8 @@ impl Sim {
         if want_up && routable + provisioning < a.max_replicas {
             let ready = self.now + SimDuration::from_secs_f64(a.provision_delay_s);
             let backend = (self.backend_factory)();
-            let mut grown =
-                Replica::provisioning(self.config.fidelity, &self.config.engine, backend, ready);
+            let model = new_replica(self.config.fidelity, &self.config.engine, backend);
+            let mut grown = Replica::provisioning(model, ready);
             // Disaggregated fleets grow the decode tier: decode is the
             // capacity-bound phase.
             if self

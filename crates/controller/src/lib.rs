@@ -1,11 +1,34 @@
-//! # controller — a fault-injecting fleet control plane
+//! # controller — multi-replica fleets: routing, faults and control
 //!
-//! The operational layer above the [`cluster`] simulator: where `cluster`
-//! answers *"which replica should serve this request?"*, this crate answers
-//! *"what happens to the fleet when things go wrong?"* It drives the same
-//! steppable [`replica_fidelity::ReplicaModel`] replicas through injected
-//! crashes and slowdowns, and supplies the machinery a production
-//! deployment uses to survive them:
+//! Scales the single-engine serving simulator (the `serving` crate) out to a
+//! fleet: N independent replicas, each with its own KV cache and attention
+//! backend, co-simulated in deterministic virtual time behind a pluggable
+//! [`Router`]. Because replicas never share KV state, the router's placement
+//! decides where prefixes stay warm — the same observation that motivates
+//! prefix-aware attention inside a replica (PAT, §3.1) applies across
+//! replicas: a request routed away from its cached prefix pays full
+//! recomputation and duplicates KV memory.
+//!
+//! Four routing policies ship with the crate:
+//!
+//! * [`RoundRobin`] — the oblivious baseline;
+//! * [`LeastOutstanding`] — classic load balancing, prefix-blind;
+//! * [`ConsistentHashPrefix`] — sticky prefix placement via a hash ring,
+//!   load-blind;
+//! * [`PrefixAffinity`] — probes every replica's live cache (read-only) and
+//!   scores `overlap_tokens − α · outstanding`, falling back to least-loaded
+//!   when no replica holds a useful overlap.
+//!
+//! Routing cannot change what is computed — only where: any single
+//! request's decoded output is identical under every policy (a property the
+//! test suite checks), while fleet latency, per-replica cache hit rates,
+//! load balance, and cross-replica KV duplication vary.
+//!
+//! One event loop drives every fleet. A [`Cluster`] is a fixed fleet — a
+//! static, fault-free run reported as a [`ClusterResult`]. A
+//! [`FleetController`] runs the same loop with the operational layer a
+//! production deployment uses to survive failures, reported as a
+//! [`ControlResult`]:
 //!
 //! * **Fault injection** ([`FaultPlan`]) — scripted or seeded-random
 //!   crashes (cold-cache restarts) and stragglers (speed-factor
@@ -40,11 +63,38 @@
 //! Every offered request is accounted for in exactly one of
 //! `completed / shed / lost / unfinished` — nothing is silently dropped.
 //!
-//! ## Example
+//! ## Examples
+//!
+//! A fixed fleet:
+//!
+//! ```no_run
+//! use controller::{Cluster, ClusterConfig, PrefixAffinity};
+//! use serving::{ModelSpec, ServingConfig};
+//! use workloads::{generate_trace, TraceConfig, TraceKind};
+//!
+//! let requests = generate_trace(TraceConfig {
+//!     kind: TraceKind::ToolAgent,
+//!     rate_per_s: 16.0,
+//!     duration_s: 30.0,
+//!     seed: 1,
+//! });
+//! let config = ClusterConfig::new(4, ServingConfig::single_gpu(ModelSpec::llama3_8b()));
+//! let result =
+//!     Cluster::with_lazy_pat(&config, Box::new(PrefixAffinity::new())).run(&requests);
+//! println!(
+//!     "fleet TPOT {:.2} ms, hit rate {:.1}%, imbalance {:.2}",
+//!     result.fleet.mean_tpot_ms,
+//!     100.0 * result.fleet_hit_rate,
+//!     result.load_imbalance,
+//! );
+//! ```
+//!
+//! A managed fleet through a crash:
 //!
 //! ```
-//! use cluster::PrefixAffinity;
-//! use controller::{ControllerConfig, FaultEvent, FaultKind, FaultPlan, FleetController};
+//! use controller::{
+//!     ControllerConfig, FaultEvent, FaultKind, FaultPlan, FleetController, PrefixAffinity,
+//! };
 //! use serving::{ModelSpec, ServingConfig};
 //! use workloads::{generate_trace, TraceConfig, TraceKind};
 //!
@@ -70,18 +120,26 @@
 
 #![warn(missing_docs)]
 
+mod cluster;
 mod faults;
 mod fleet;
 mod metrics;
+mod router;
 mod trace;
 
+pub use cluster::{Cluster, ClusterConfig};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, RandomFaultConfig};
 pub use fleet::{
     AdmissionConfig, AutoscalerConfig, ControllerConfig, DisaggConfig, FidelityPolicy,
     FleetController, TransferConfig,
 };
 pub use metrics::{
-    window_stats, window_stats_with, ControlEvent, ControlResult, TimelineEvent, WindowScratch,
-    WindowStats,
+    duplicated_blocks, kv_block_bytes, load_imbalance, window_stats, window_stats_with,
+    ClusterResult, ControlEvent, ControlResult, FleetRow, ReplicaSummary, TimelineEvent,
+    WindowScratch, WindowStats,
+};
+pub use router::{
+    ConsistentHashPrefix, LeastOutstanding, PrefixAffinity, ReplicaState, ReplicaView, RoundRobin,
+    Router,
 };
 pub use trace::{result_chrome_json, timeline_chrome_json};

@@ -1,10 +1,148 @@
-//! Controller-level outcome accounting: goodput, loss classes, and
-//! per-phase slices of a run.
+//! Fleet outcome accounting. A fixed fleet reports a [`ClusterResult`]:
+//! aggregate latency, load balance, and the KV memory cost of prefix
+//! duplication across replicas. A managed fleet reports a
+//! [`ControlResult`]: goodput, loss classes, and per-phase slices of a run.
 
+use replica_fidelity::Fidelity;
 use serde::Serialize;
-use serving::{AggregateMetrics, RequestMetrics};
+use serving::{AggregateMetrics, ModelSpec, RequestMetrics, SimulationResult};
 use sim_core::stats::{guarded_mean, percentile_sorted};
 use workloads::Request;
+
+/// One replica's share of a cluster run.
+#[derive(Debug, Clone, Serialize)]
+pub struct ReplicaSummary {
+    /// Requests routed to this replica.
+    pub routed: usize,
+    /// Token-level prefix-cache hit rate of the replica's KV cache.
+    pub prefix_hit_rate: f64,
+    /// The fidelity this replica was simulated at.
+    pub fidelity: Fidelity,
+    /// The replica's full single-engine simulation result.
+    pub result: SimulationResult,
+}
+
+/// Result of one cluster simulation.
+#[derive(Debug, Clone, Serialize)]
+pub struct ClusterResult {
+    /// Per-replica summaries, indexed by replica.
+    pub per_replica: Vec<ReplicaSummary>,
+    /// Aggregate latency metrics over every completed request in the fleet.
+    pub fleet: AggregateMetrics,
+    /// Token-level prefix-cache hit rate summed over all replicas.
+    pub fleet_hit_rate: f64,
+    /// Coefficient of variation of per-replica routed-request counts
+    /// (0 = perfectly balanced).
+    pub load_imbalance: f64,
+    /// Shareable KV blocks resident on more than one replica, counted once
+    /// per extra copy.
+    pub duplicated_kv_blocks: usize,
+    /// The same duplication in bytes of KV-cache memory.
+    pub duplicated_kv_bytes: u64,
+    /// `(request id, replica)` for every routed request, in arrival order.
+    pub assignments: Vec<(u64, usize)>,
+    /// Fleet-wide unfinished requests (drain-limit drops).
+    pub unfinished: usize,
+    /// Fleet-wide recompute preemptions.
+    pub preemptions: u64,
+    /// Fleet-wide admission rejections.
+    pub dropped: u64,
+}
+
+impl ClusterResult {
+    /// Completed requests across the fleet.
+    pub fn completed(&self) -> usize {
+        self.fleet.completed
+    }
+}
+
+/// A flat, serializable row of the headline fleet metrics (what the Fig. 18
+/// bench persists per `(policy, trace, replicas)` cell).
+#[derive(Debug, Clone, Serialize)]
+pub struct FleetRow {
+    /// Routing policy name.
+    pub policy: String,
+    /// Trace name.
+    pub trace: String,
+    /// Number of replicas.
+    pub replicas: usize,
+    /// Offered load, req/s (fleet-wide).
+    pub rate_per_s: f64,
+    /// Mean time to first token, ms.
+    pub mean_ttft_ms: f64,
+    /// Mean time per output token, ms.
+    pub mean_tpot_ms: f64,
+    /// 99th-percentile TPOT, ms.
+    pub p99_tpot_ms: f64,
+    /// Fleet prefix-cache hit rate in `[0, 1]`.
+    pub fleet_hit_rate: f64,
+    /// Load-imbalance coefficient (CV of routed counts).
+    pub load_imbalance: f64,
+    /// Cross-replica duplicated KV bytes, MiB.
+    pub duplicated_kv_mib: f64,
+    /// Completed requests.
+    pub completed: usize,
+    /// Unfinished requests.
+    pub unfinished: usize,
+}
+
+impl FleetRow {
+    /// Flattens a cluster result into one bench row.
+    pub fn new(policy: &str, trace: &str, rate_per_s: f64, result: &ClusterResult) -> Self {
+        FleetRow {
+            policy: policy.to_string(),
+            trace: trace.to_string(),
+            replicas: result.per_replica.len(),
+            rate_per_s,
+            mean_ttft_ms: result.fleet.mean_ttft_ms,
+            mean_tpot_ms: result.fleet.mean_tpot_ms,
+            p99_tpot_ms: result.fleet.p99_tpot_ms,
+            fleet_hit_rate: result.fleet_hit_rate,
+            load_imbalance: result.load_imbalance,
+            duplicated_kv_mib: result.duplicated_kv_bytes as f64 / (1024.0 * 1024.0),
+            completed: result.fleet.completed,
+            unfinished: result.unfinished,
+        }
+    }
+}
+
+/// Coefficient of variation (stddev / mean) of per-replica routed counts.
+/// Zero when perfectly balanced or when nothing was routed.
+pub fn load_imbalance(routed: &[usize]) -> f64 {
+    if routed.is_empty() {
+        return 0.0;
+    }
+    let n = routed.len() as f64;
+    let mean = routed.iter().sum::<usize>() as f64 / n;
+    if mean == 0.0 {
+        return 0.0;
+    }
+    let var = routed
+        .iter()
+        .map(|&r| (r as f64 - mean).powi(2))
+        .sum::<f64>()
+        / n;
+    var.sqrt() / mean
+}
+
+/// Counts extra copies across replicas: a block resident on `k` replicas
+/// contributes `k - 1`.
+pub fn duplicated_blocks(resident_hashes: &[Vec<u64>]) -> usize {
+    let mut counts = std::collections::BTreeMap::new();
+    for replica in resident_hashes {
+        for &h in replica {
+            *counts.entry(h).or_insert(0usize) += 1;
+        }
+    }
+    counts.values().map(|&c| c.saturating_sub(1)).sum()
+}
+
+/// Bytes of KV cache one block of `block_size` tokens occupies for `model`
+/// (K and V, fp16, all layers).
+pub fn kv_block_bytes(model: &ModelSpec, block_size: usize) -> u64 {
+    let per_token = 2 * model.head.num_kv_heads() * model.head.head_dim() * 2 * model.num_layers;
+    (per_token * block_size) as u64
+}
 
 /// One entry in the controller's event timeline.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -320,5 +458,36 @@ mod tests {
             let reused = window_stats_with(&mut scratch, &trace, &result, from_s, to_s);
             assert_eq!(reused, window_stats(&trace, &result, from_s, to_s));
         }
+    }
+
+    #[test]
+    fn imbalance_is_zero_when_balanced() {
+        assert_eq!(load_imbalance(&[5, 5, 5, 5]), 0.0);
+        assert_eq!(load_imbalance(&[]), 0.0);
+        assert_eq!(load_imbalance(&[0, 0]), 0.0);
+    }
+
+    #[test]
+    fn imbalance_grows_with_skew() {
+        let even = load_imbalance(&[10, 10, 10, 10]);
+        let mild = load_imbalance(&[13, 9, 10, 8]);
+        let severe = load_imbalance(&[37, 1, 1, 1]);
+        assert!(even < mild && mild < severe);
+        // All 40 requests on one of four replicas: CV = sqrt(3).
+        assert!((load_imbalance(&[40, 0, 0, 0]) - 3.0f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn duplication_counts_extra_copies_only() {
+        assert_eq!(duplicated_blocks(&[vec![1, 2], vec![3, 4]]), 0);
+        assert_eq!(duplicated_blocks(&[vec![1, 2], vec![2, 3]]), 1);
+        assert_eq!(duplicated_blocks(&[vec![7], vec![7], vec![7]]), 2);
+    }
+
+    #[test]
+    fn kv_block_bytes_matches_hand_computation() {
+        let model = ModelSpec::llama3_8b();
+        // 8 KV heads x 128 dim x 2 (K,V) x 2 bytes x 32 layers x 16 tokens.
+        assert_eq!(kv_block_bytes(&model, 16), 8 * 128 * 2 * 2 * 32 * 16);
     }
 }

@@ -48,10 +48,12 @@ impl ReplicaState {
 /// Disaggregated serving splits the fleet: [`Prefill`](ReplicaRole::Prefill)
 /// replicas compute prompt KV and stream it out over the KV movement plane;
 /// [`Decode`](ReplicaRole::Decode) replicas ingest that KV and run the decode
-/// batches. Roles are a routing policy axis, not an engine capability — every
-/// engine *can* do both, roles say what the control plane sends where.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplicaRole {
+/// batches. Roles are a control-plane axis, not an engine capability — every
+/// engine *can* do both; the controller routes each phase only over
+/// replicas that serve it, showing the rest to the router as
+/// [`ReplicaState::Dead`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum ReplicaRole {
     /// Serves both prefill and decode (the non-disaggregated default).
     #[default]
     Unified,
@@ -65,7 +67,7 @@ impl ReplicaRole {
     /// Whether a replica of this role may serve work of role `wanted`.
     /// Unified replicas serve everything; specialized replicas serve only
     /// their own phase.
-    pub fn serves(self, wanted: ReplicaRole) -> bool {
+    pub(crate) fn serves(self, wanted: ReplicaRole) -> bool {
         self == ReplicaRole::Unified || self == wanted
     }
 }
@@ -75,58 +77,17 @@ impl ReplicaRole {
 pub struct ReplicaView<'a> {
     model: &'a dyn ReplicaModel,
     state: ReplicaState,
-    role: ReplicaRole,
 }
 
 impl<'a> ReplicaView<'a> {
-    /// A view of a healthy replica (the fixed-fleet cluster simulator).
-    pub fn new(model: &'a dyn ReplicaModel) -> Self {
-        ReplicaView {
-            model,
-            state: ReplicaState::Healthy,
-            role: ReplicaRole::Unified,
-        }
-    }
-
-    /// A view carrying an explicit lifecycle state (fleet control planes).
-    pub fn with_state(model: &'a dyn ReplicaModel, state: ReplicaState) -> Self {
-        ReplicaView {
-            model,
-            state,
-            role: ReplicaRole::Unified,
-        }
-    }
-
-    /// A view carrying an explicit state and serving role (disaggregated
-    /// fleets).
-    pub fn with_state_and_role(
-        model: &'a dyn ReplicaModel,
-        state: ReplicaState,
-        role: ReplicaRole,
-    ) -> Self {
-        ReplicaView { model, state, role }
+    /// A view of `model` in lifecycle `state`.
+    pub fn new(model: &'a dyn ReplicaModel, state: ReplicaState) -> Self {
+        ReplicaView { model, state }
     }
 
     /// The replica's lifecycle state.
     pub fn state(&self) -> ReplicaState {
         self.state
-    }
-
-    /// The replica's serving role.
-    pub fn role(&self) -> ReplicaRole {
-        self.role
-    }
-
-    /// This view with the replica forced non-routable. Role-scoped routing
-    /// masks replicas of the wrong role this way, so any inner policy skips
-    /// them through the ordinary [`ReplicaState::is_routable`] check without
-    /// index remapping.
-    pub fn masked(&self) -> ReplicaView<'a> {
-        ReplicaView {
-            model: self.model,
-            state: ReplicaState::Dead,
-            role: self.role,
-        }
     }
 
     /// Requests routed here that have not finished (queued, prefilling,
@@ -400,50 +361,6 @@ impl Router for PrefixAffinity {
     }
 }
 
-/// Restricts any routing policy to replicas serving a given role.
-///
-/// Replicas whose role does not [`serve`](ReplicaRole::serves) the wanted
-/// role are masked non-routable before the inner policy runs, so indices
-/// returned by the wrapper still index the original slice. Disaggregated
-/// control planes use two of these over one fleet: prefill admission scoped
-/// to [`ReplicaRole::Prefill`], decode admission to [`ReplicaRole::Decode`].
-#[derive(Debug, Clone)]
-pub struct RoleScoped<R> {
-    inner: R,
-    role: ReplicaRole,
-}
-
-impl<R: Router> RoleScoped<R> {
-    /// Scopes `inner` to replicas serving `role`.
-    pub fn new(inner: R, role: ReplicaRole) -> Self {
-        RoleScoped { inner, role }
-    }
-}
-
-impl<R: Router> Router for RoleScoped<R> {
-    fn name(&self) -> &'static str {
-        match self.role {
-            ReplicaRole::Unified => "role:unified",
-            ReplicaRole::Prefill => "role:prefill",
-            ReplicaRole::Decode => "role:decode",
-        }
-    }
-
-    fn route(&mut self, request: &Request, replicas: &[ReplicaView<'_>]) -> Option<usize> {
-        let scoped: Vec<ReplicaView<'_>> = replicas
-            .iter()
-            .map(|v| {
-                if v.role().serves(self.role) {
-                    *v
-                } else {
-                    v.masked()
-                }
-            })
-            .collect();
-        self.inner.route(request, &scoped)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,7 +392,7 @@ mod tests {
         engines
             .iter()
             .zip(states)
-            .map(|(e, &s)| ReplicaView::with_state(e.as_ref(), s))
+            .map(|(e, &s)| ReplicaView::new(e.as_ref(), s))
             .collect()
     }
 
@@ -555,56 +472,6 @@ mod tests {
         assert!(Unified.serves(Prefill) && Unified.serves(Decode));
         assert!(Prefill.serves(Prefill) && !Prefill.serves(Decode));
         assert!(Decode.serves(Decode) && !Decode.serves(Prefill));
-    }
-
-    #[test]
-    fn role_scoped_routing_masks_wrong_role_replicas() {
-        use ReplicaRole::{Decode, Prefill};
-        let engines = engines(4);
-        let roles = [Prefill, Decode, Prefill, Decode];
-        let v: Vec<ReplicaView<'_>> = engines
-            .iter()
-            .zip(roles)
-            .map(|(e, r)| ReplicaView::with_state_and_role(e.as_ref(), ReplicaState::Healthy, r))
-            .collect();
-        let mut prefill = RoleScoped::new(RoundRobin::new(), Prefill);
-        let mut decode = RoleScoped::new(RoundRobin::new(), Decode);
-        let p: Vec<Option<usize>> = (0..4).map(|_| prefill.route(&request(), &v)).collect();
-        let d: Vec<Option<usize>> = (0..4).map(|_| decode.route(&request(), &v)).collect();
-        assert_eq!(p, vec![Some(0), Some(2), Some(0), Some(2)]);
-        assert_eq!(d, vec![Some(1), Some(3), Some(1), Some(3)]);
-    }
-
-    #[test]
-    fn role_scoped_routing_uses_unified_replicas_for_any_phase() {
-        use ReplicaRole::{Decode, Unified};
-        let engines = engines(2);
-        let roles = [Unified, Decode];
-        let v: Vec<ReplicaView<'_>> = engines
-            .iter()
-            .zip(roles)
-            .map(|(e, r)| ReplicaView::with_state_and_role(e.as_ref(), ReplicaState::Healthy, r))
-            .collect();
-        let mut prefill = RoleScoped::new(LeastOutstanding::new(), ReplicaRole::Prefill);
-        assert_eq!(prefill.route(&request(), &v), Some(0));
-        let mut decode = RoleScoped::new(LeastOutstanding::new(), Decode);
-        assert_eq!(
-            decode.route(&request(), &v),
-            Some(0),
-            "unified serves decode too"
-        );
-    }
-
-    #[test]
-    fn role_scoped_routing_with_no_matching_replica_returns_none() {
-        use ReplicaRole::Prefill;
-        let engines = engines(2);
-        let v: Vec<ReplicaView<'_>> = engines
-            .iter()
-            .map(|e| ReplicaView::with_state_and_role(e.as_ref(), ReplicaState::Healthy, Prefill))
-            .collect();
-        let mut decode = RoleScoped::new(RoundRobin::new(), ReplicaRole::Decode);
-        assert_eq!(decode.route(&request(), &v), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Integration tests for the cluster simulator: single-replica equivalence
-//! with the plain serving engine, routing-output invariance, and the
-//! qualitative behavior of each routing policy.
+//! Integration tests for the fixed fleet (`Cluster`): single-replica
+//! equivalence with the plain serving engine, routing-output invariance and
+//! routing bookkeeping, and the qualitative behavior of each routing policy.
 
-use cluster::{
+use controller::{
     Cluster, ClusterConfig, ConsistentHashPrefix, FleetRow, LeastOutstanding, PrefixAffinity,
     RoundRobin, Router,
 };
@@ -112,6 +112,20 @@ proptest! {
             let name = router.name();
             let config = ClusterConfig::new(replicas, engine_config());
             let result = Cluster::with_lazy_pat(&config, router).run(&requests);
+            // The routing log holds one entry per request, in trace order...
+            let logged: Vec<u64> = result.assignments.iter().map(|&(id, _)| id).collect();
+            let trace_ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+            prop_assert_eq!(logged, trace_ids, "{} assignment log", name);
+            let assigned: BTreeMap<u64, usize> = result.assignments.iter().copied().collect();
+            for (i, summary) in result.per_replica.iter().enumerate() {
+                // ...each replica's routed count is its share of the log...
+                let share = result.assignments.iter().filter(|&&(_, r)| r == i).count();
+                prop_assert_eq!(summary.routed, share, "{} replica {} routed", name, i);
+                // ...and a replica completes only requests routed to it.
+                for m in &summary.result.per_request {
+                    prop_assert_eq!(assigned[&m.request_id], i, "{} request {}", name, m.request_id);
+                }
+            }
             let outputs: BTreeMap<u64, (usize, u64)> = result
                 .per_replica
                 .iter()

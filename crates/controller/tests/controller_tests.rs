@@ -2,10 +2,10 @@
 //! requests through crashes, failover correctness, autoscaling, admission
 //! control, and bit-level determinism.
 
-use cluster::{LeastOutstanding, PrefixAffinity, RoundRobin};
 use controller::{
     window_stats, AdmissionConfig, AutoscalerConfig, ControlResult, ControllerConfig, FaultEvent,
-    FaultKind, FaultPlan, FidelityPolicy, FleetController, RandomFaultConfig,
+    FaultKind, FaultPlan, FidelityPolicy, FleetController, LeastOutstanding, PrefixAffinity,
+    RandomFaultConfig, RoundRobin,
 };
 use replica_fidelity::Fidelity;
 use serving::{ModelSpec, ServingConfig};
@@ -62,9 +62,9 @@ fn no_fault_controller_matches_cluster_run() {
     let managed =
         FleetController::with_lazy_pat(config, Box::new(RoundRobin::new()), FaultPlan::none())
             .run(&requests);
-    let cluster_cfg = cluster::ClusterConfig::new(3, engine_config());
-    let reference =
-        cluster::Cluster::with_lazy_pat(&cluster_cfg, Box::new(RoundRobin::new())).run(&requests);
+    let cluster_cfg = controller::ClusterConfig::new(3, engine_config());
+    let reference = controller::Cluster::with_lazy_pat(&cluster_cfg, Box::new(RoundRobin::new()))
+        .run(&requests);
     // With no faults the control plane must be a no-op: identical
     // completions with identical (bit-for-bit) latencies.
     assert_eq!(managed.completed, reference.fleet.completed);

@@ -7,7 +7,7 @@
 //! - A mixed-fidelity fleet still conserves every request and stays
 //!   byte-identical across `PAT_SIM_THREADS`.
 
-use cluster::{Cluster, ClusterConfig, LeastOutstanding, RoundRobin};
+use controller::{Cluster, ClusterConfig, LeastOutstanding, RoundRobin};
 use pat_core::LazyPat;
 use replica_fidelity::{Fidelity, ANALYTICAL_REL_ERROR_BOUND};
 use serving::{ModelSpec, ServingAttention, ServingConfig};

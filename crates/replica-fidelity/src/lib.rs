@@ -9,7 +9,7 @@
 //!
 //! This crate decouples *what a replica costs to simulate* from *what the
 //! fleet observes about it*. The [`ReplicaModel`] trait captures the exact
-//! surface the `cluster` and `controller` drivers consume — submit / step /
+//! surface the `controller` fleet loop consumes — submit / step /
 //! clock / queue depths / prefix probes / drain / metrics — and two
 //! interchangeable backends implement it:
 //!

@@ -11,7 +11,7 @@ use workloads::Request;
 
 /// One simulated replica, at some fidelity, as a fleet driver sees it.
 ///
-/// This is exactly the surface `cluster` and `controller` consume from a
+/// This is exactly the surface the `controller` fleet loop consumes from a
 /// replica: work submission and stepping, load/clock introspection for
 /// routers, prefix-warmth probes and KV import for the transfer plane,
 /// drain/speed control for the control plane, and final metrics. A model

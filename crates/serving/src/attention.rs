@@ -12,7 +12,7 @@ use sim_gpu::GpuSpec;
 
 /// A decode-attention implementation as used by the serving engine.
 ///
-/// `Send` is required so fleet drivers (`cluster`, `controller`) can advance
+/// `Send` is required so the fleet loop (`controller`) can advance
 /// independent replicas on `sim_core::par` worker threads between event
 /// barriers.
 pub trait ServingAttention: Send {

@@ -9,8 +9,8 @@
 //!
 //! The engine is exposed in two forms: the one-shot [`simulate_serving`]
 //! (submit a whole sorted trace, run to completion) and the steppable
-//! [`ServingEngine`], which external drivers — notably the multi-replica
-//! cluster simulator — advance one scheduling iteration at a time via
+//! [`ServingEngine`], which external drivers — notably the `controller`
+//! fleet loop — advance one scheduling iteration at a time via
 //! [`ServingEngine::step`], interleaving [`ServingEngine::submit`] calls as
 //! routed requests arrive. `simulate_serving` is a thin wrapper over the
 //! steppable engine, so both paths execute identical scheduling decisions.

@@ -3,8 +3,8 @@
 //! Three small pieces every simulator crate in this workspace builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — virtual time as **integer nanoseconds**
-//!   (`u64`). Clocks across `sim-gpu`, `serving`, `cluster`, and
-//!   `controller` all advance on this spine, so equal instants compare
+//!   (`u64`). Clocks across `sim-gpu`, `serving`, and `controller` all
+//!   advance on this spine, so equal instants compare
 //!   *exactly* equal on every platform: "bit-deterministic per seed" is a
 //!   guarantee of the arithmetic, not an accident of x87 rounding. Floating
 //!   point appears only at two explicit, lossy boundaries — model outputs

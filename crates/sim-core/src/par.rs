@@ -1,8 +1,8 @@
 //! Blessed deterministic parallelism for the simulation stack.
 //!
-//! Replicas in `cluster`/`controller` are independent between fleet event
-//! barriers, and bench scenario grids are embarrassingly parallel — but raw
-//! `std::thread` use inside simulation crates is a determinism hazard
+//! Replicas in the `controller` fleet loop are independent between fleet
+//! event barriers, and bench scenario grids are embarrassingly parallel —
+//! but raw `std::thread` use inside simulation crates is a determinism hazard
 //! (sim-lint rule R6): ad-hoc threading invites order-dependent merges.
 //! This module is the single sanctioned escape hatch. Its contract:
 //!

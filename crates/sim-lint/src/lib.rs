@@ -15,7 +15,8 @@
 //! * **R3** — raw f64↔ns time casts confined to `sim-core`'s blessed
 //!   ingest/egress API (`from_ns_f64*`, `from_secs_f64`, `as_*_f64`);
 //! * **R4** — no `.unwrap()`/`.expect(…)` in non-test library code;
-//! * **R5** — every `pub` item in `sim-core` and `cluster` is documented;
+//! * **R5** — every `pub` item in `sim-core`, `cluster`, `controller`,
+//!   `kv-transfer` and `replica-fidelity` is documented;
 //! * **R6** — no raw `thread::spawn`/`thread::scope` in simulation crates;
 //!   parallelism goes through `sim_core::par`'s ordered, deterministic
 //!   scoped-thread helpers;

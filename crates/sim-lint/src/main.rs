@@ -70,7 +70,8 @@ fn parse_args() -> Result<Options, String> {
                      \n\
                      Rules: R1 wall-clock/entropy, R2 hash-container iteration,\n\
                      R3 raw time casts outside sim-core, R4 unwrap/expect in\n\
-                     library code, R5 undocumented pub items (sim-core, cluster),\n\
+                     library code, R5 undocumented pub items (sim-core, cluster,\n\
+                     controller, kv-transfer, replica-fidelity),\n\
                      R6 raw thread::spawn/scope outside sim_core::par,\n\
                      R7 raw std::env outside sim_core::knobs, R8 lossy `as`\n\
                      casts outside sim_core::cast, R9 stale waivers.\n\

@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --release --example cluster_routing`.
 
-use cluster::FleetRow;
+use controller::FleetRow;
 use pat::prelude::*;
 use workloads::{generate_multi_tenant, MultiTenantConfig, TenantSpec, TraceKind};
 

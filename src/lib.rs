@@ -19,10 +19,9 @@
 //! * [`sim_gpu`] — the A100/H100 simulator;
 //! * [`workloads`] — synthetic `(B, L)` batches and trace models;
 //! * [`serving`] — the continuous-batching serving simulator;
-//! * [`cluster`] — the multi-replica fleet simulator with prefix-aware
-//!   request routing;
-//! * [`controller`] — the fleet control plane: fault injection,
-//!   health-checked failover, SLO-aware autoscaling, admission control.
+//! * [`controller`] — multi-replica fleets: prefix-aware request routing,
+//!   and the control plane (fault injection, health-checked failover,
+//!   SLO-aware autoscaling, admission control).
 //!
 //! ## Quickstart
 //!
@@ -52,7 +51,6 @@
 pub use attn_kernel;
 pub use attn_math;
 pub use baselines;
-pub use cluster;
 pub use controller;
 pub use kv_cache;
 pub use pat_core;
@@ -71,13 +69,10 @@ pub mod prelude {
     pub use baselines::{
         Cascade, Deft, FastTree, FlashAttention, FlashInfer, RelayAttention, RelayAttentionPP,
     };
-    pub use cluster::{
-        Cluster, ClusterConfig, ConsistentHashPrefix, LeastOutstanding, PrefixAffinity,
-        ReplicaState, RoundRobin, Router,
-    };
     pub use controller::{
-        AdmissionConfig, AutoscalerConfig, ControllerConfig, DisaggConfig, FaultPlan,
-        FleetController, TransferConfig,
+        AdmissionConfig, AutoscalerConfig, Cluster, ClusterConfig, ConsistentHashPrefix,
+        ControllerConfig, DisaggConfig, FaultPlan, FleetController, LeastOutstanding,
+        PrefixAffinity, ReplicaState, RoundRobin, Router, TransferConfig,
     };
     pub use kv_cache::{BlockId, BlockTable, CacheManager, PrefixForest};
     pub use kv_transfer::{FleetTopology, LinkSpec, TransferPlane};
