@@ -134,9 +134,8 @@ pub use fleet::{
     FleetController, TransferConfig,
 };
 pub use metrics::{
-    duplicated_blocks, kv_block_bytes, load_imbalance, window_stats, window_stats_with,
-    ClusterResult, ControlEvent, ControlResult, FleetRow, ReplicaSummary, TimelineEvent,
-    WindowScratch, WindowStats,
+    load_imbalance, window_stats, window_stats_with, ClusterResult, ControlEvent, ControlResult,
+    FleetRow, ReplicaSummary, TimelineEvent, WindowScratch, WindowStats,
 };
 pub use router::{
     ConsistentHashPrefix, LeastOutstanding, PrefixAffinity, ReplicaState, ReplicaView, RoundRobin,

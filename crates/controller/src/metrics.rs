@@ -127,7 +127,7 @@ pub fn load_imbalance(routed: &[usize]) -> f64 {
 
 /// Counts extra copies across replicas: a block resident on `k` replicas
 /// contributes `k - 1`.
-pub fn duplicated_blocks(resident_hashes: &[Vec<u64>]) -> usize {
+pub(crate) fn duplicated_blocks(resident_hashes: &[Vec<u64>]) -> usize {
     let mut counts = std::collections::BTreeMap::new();
     for replica in resident_hashes {
         for &h in replica {
@@ -139,7 +139,7 @@ pub fn duplicated_blocks(resident_hashes: &[Vec<u64>]) -> usize {
 
 /// Bytes of KV cache one block of `block_size` tokens occupies for `model`
 /// (K and V, fp16, all layers).
-pub fn kv_block_bytes(model: &ModelSpec, block_size: usize) -> u64 {
+pub(crate) fn kv_block_bytes(model: &ModelSpec, block_size: usize) -> u64 {
     let per_token = 2 * model.head.num_kv_heads() * model.head.head_dim() * 2 * model.num_layers;
     (per_token * block_size) as u64
 }
