@@ -831,7 +831,11 @@ impl Sim {
                 total_tokens += hit + miss;
                 ReplicaSummary {
                     routed,
-                    prefix_hit_rate: r.model.cache_hit_rate(),
+                    prefix_hit_rate: if hit + miss == 0 {
+                        0.0
+                    } else {
+                        hit as f64 / (hit + miss) as f64
+                    },
                     fidelity: r.model.fidelity(),
                     result: r.model.into_result(),
                 }

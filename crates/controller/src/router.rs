@@ -96,16 +96,6 @@ impl<'a> ReplicaView<'a> {
         self.model.outstanding()
     }
 
-    /// Requests admitted but not yet decoding.
-    pub fn queue_depth(&self) -> usize {
-        self.model.queue_depth()
-    }
-
-    /// Requests currently decoding.
-    pub fn num_active(&self) -> usize {
-        self.model.num_active()
-    }
-
     /// The replica's KV block size in tokens.
     pub fn block_size(&self) -> usize {
         self.model.block_size()

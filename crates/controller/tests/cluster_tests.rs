@@ -287,23 +287,23 @@ fn identical_clocks_advance_in_replica_index_order() {
             .map(|(e, b)| e.step(b as &mut dyn ServingAttention))
             .collect();
         assert_eq!(
-            engines[0].clock(),
-            engines[1].clock(),
+            engines[0].core().clock(),
+            engines[1].core().clock(),
             "identical work must produce identical integer clocks"
         );
         if outcomes.iter().all(|&o| o == StepOutcome::Idle) {
             break;
         }
     }
-    assert!(engines[0].clock() > SimTime::ZERO);
+    assert!(engines[0].core().clock() > SimTime::ZERO);
     assert_eq!(
-        engines[0].completed_requests(),
-        engines[1].completed_requests()
+        engines[0].core().completed_requests(),
+        engines[1].core().completed_requests()
     );
 
     // And when the fleet schedules advances for that shared instant, the
     // queue hands them back in replica-index order, every time.
-    let tied = engines[0].clock();
+    let tied = engines[0].core().clock();
     let mut queue: EventQueue<usize> = EventQueue::new();
     for replica in 0..4 {
         queue.push(tied, replica);

@@ -234,9 +234,45 @@ impl CacheManager {
     /// # Errors
     ///
     /// Returns [`AllocError::OutOfBlocks`] if allocation fails even after
-    /// evicting every unreferenced cached block.
+    /// evicting every unreferenced cached block. A failed insert leaves no
+    /// trace of the request: it holds no block, the cache entries it
+    /// created are gone, and the hit/miss counters are as before. Blocks it
+    /// evicted stay evicted (and counted); reused blocks keep their
+    /// refreshed recency.
     pub fn insert_sequence(&mut self, tokens: &[Token]) -> Result<BlockTable, AllocError> {
+        let stats = self.stats;
         let mut table = BlockTable::empty(self.block_size);
+        let mut created = Vec::new();
+        match self.place_blocks(tokens, &mut table, &mut created) {
+            Ok(()) => Ok(table),
+            Err(e) => {
+                // Cannot fail: this call holds a reference on every block in
+                // `table`, and the cache one on every block it created.
+                let _ = self.free_sequence(&table);
+                for hash in created {
+                    if let Some(cached) = self.by_hash.remove(&hash) {
+                        self.hash_of_block.remove(&cached.block);
+                        let _ = self.allocator.release(cached.block);
+                    }
+                }
+                self.stats = CacheStats {
+                    evicted_blocks: self.stats.evicted_blocks,
+                    ..stats
+                };
+                Err(e)
+            }
+        }
+    }
+
+    /// The body of [`CacheManager::insert_sequence`]: pushes each block of
+    /// `tokens` onto `table` and records in `created` the hash of every
+    /// cache entry it registers, so a failure can be rolled back.
+    fn place_blocks(
+        &mut self,
+        tokens: &[Token],
+        table: &mut BlockTable,
+        created: &mut Vec<u64>,
+    ) -> Result<(), AllocError> {
         let mut probe = PrefixProbe::new(tokens, self.block_size);
         for (b, chunk) in tokens.chunks(self.block_size).enumerate() {
             let take = chunk.len();
@@ -259,6 +295,7 @@ impl CacheManager {
                         },
                     );
                     self.hash_of_block.insert(block, h);
+                    created.push(h);
                     // The cache holds one reference; the request another.
                     self.allocator.retain(block)?;
                     table.push_block(block, take);
@@ -272,7 +309,7 @@ impl CacheManager {
                 self.stats.miss_tokens += take as u64;
             }
         }
-        Ok(table)
+        Ok(())
     }
 
     /// Appends one decode token to a request's table, allocating a fresh
@@ -434,6 +471,29 @@ mod tests {
             .insert_sequence(&(100..132).collect::<Vec<_>>())
             .unwrap_err();
         assert_eq!(err, AllocError::OutOfBlocks);
+    }
+
+    #[test]
+    fn failed_insert_leaves_no_trace() {
+        // A 4-block pool holding a 2-block sequence A: a 3-block B places
+        // two blocks, then fails on the third.
+        let mut cache = CacheManager::new(4, 16);
+        let a = cache.insert_sequence(&(0..32).collect::<Vec<_>>()).unwrap();
+        let stats = cache.stats();
+        let b: Vec<Token> = (100..148).collect();
+        assert_eq!(cache.insert_sequence(&b), Err(AllocError::OutOfBlocks));
+        // B holds nothing, its never-computed blocks are not cached, and
+        // the counters did not move.
+        assert_eq!(cache.allocator().used_blocks(), 2);
+        assert_eq!(cache.prefix_overlap_tokens(&b), 0);
+        assert_eq!(cache.stats(), stats);
+        // Once A departs, the whole idle pool is obtainable again.
+        cache.free_sequence(&a).unwrap();
+        assert_eq!(cache.available_blocks(), 4);
+        let c = cache
+            .insert_sequence(&(200..264).collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!(c.blocks().len(), 4);
     }
 
     #[test]

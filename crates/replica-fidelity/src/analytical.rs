@@ -1,18 +1,17 @@
 //! The analytical fidelity: closed-form replica timing, no kernel sim.
 //!
-//! [`AnalyticalReplica`] runs the serving engine's scheduling policy —
-//! arrival intake, prefill-priority admission with the vLLM KV watermark,
-//! and the drain deadline, all from [`serving::RequestQueue`] — with
-//! continuous batching and recompute preemption under KV pressure, but
-//! prices every step with closed forms instead of simulating kernels:
-//! prefill from the engine's own FLOPs/bandwidth roofline
-//! ([`serving::CostModel::prefill_ns`]), decode attention from the fitted
-//! [`crate::calibration`] coefficients, and the non-attention parts from
-//! [`serving::CostModel::decode_non_attention_ns`] — the same step formula
-//! the exact engine uses, with the kernel-simulated report replaced by the
-//! calibrated closed form. A decode step costs O(batch) arithmetic.
+//! [`AnalyticalReplica`] is the serving engine's scheduler,
+//! [`serving::ReplicaCore`] — arrival intake, prefill-priority admission
+//! with the vLLM KV watermark, the drain deadline, continuous batching and
+//! recompute preemption under KV pressure — over a cheaper KV placement and
+//! a closed-form decode price. Prefill comes from the engine's own
+//! FLOPs/bandwidth roofline ([`serving::CostModel::prefill_ns`]), decode
+//! attention from the fitted [`crate::calibration`] coefficients, and the
+//! non-attention parts from [`serving::CostModel::decode_non_attention_ns`]
+//! — the same step formula the exact engine uses, with the
+//! kernel-simulated report replaced by the calibrated closed form.
 //!
-//! KV bookkeeping is block-count arithmetic (no block tables): each active
+//! KV bookkeeping is block-count arithmetic (no block tables): each running
 //! request pins `ceil(context / block_size)` blocks, and prefix warmth
 //! lives in a bounded [`PrefixStore`] of block-chain hashes. Divergences
 //! from exact fidelity are therefore: (a) timing is linear in batch and
@@ -24,13 +23,12 @@
 
 use crate::calibration::{key_for, shard_head, AttnCalibration, CalibrationTable};
 use crate::{Fidelity, PrefixStore, ReplicaModel};
-use kv_cache::{CacheManager, IngestReport, PrefixProbe, Token, DEFAULT_BLOCK_SIZE};
+use kv_cache::{AllocError, IngestReport, PrefixProbe, Token, DEFAULT_BLOCK_SIZE};
 use serving::{
-    AggregateMetrics, CostModel, RequestMetrics, RequestQueue, ServingConfig, SimulationResult,
+    CostModel, KvPlacement, ReplicaCore, RequestMetrics, ServingConfig, SimulationResult,
     StepOutcome, StepSimStats,
 };
-use sim_core::{SimDuration, SimTime};
-use std::ops::ControlFlow;
+use sim_core::SimTime;
 use workloads::Request;
 
 /// Blocks of prefix warmth an analytical replica tracks (bounded so a
@@ -39,36 +37,69 @@ use workloads::Request;
 /// sets).
 pub const ANALYTICAL_PREFIX_STORE_BLOCKS: usize = 65_536;
 
-#[derive(Debug, Clone)]
-struct ActiveLite {
-    req_idx: usize,
-    produced: usize,
-    target: usize,
-    context_tokens: usize,
+/// A running request's KV, as block arithmetic: its context length and the
+/// blocks it pins.
+#[derive(Debug)]
+struct Context {
+    tokens: usize,
     blocks: usize,
-    first_token: SimTime,
-    arrival: SimTime,
+}
+
+/// Analytical KV placement: a block count against the pool capacity, plus
+/// the prefix store that prices prefill hits.
+#[derive(Debug)]
+struct BlockCounts {
+    prefix: PrefixStore,
+    capacity: usize,
+    used: usize,
+}
+
+impl KvPlacement for BlockCounts {
+    type Seq = Context;
+
+    fn free_blocks(&self) -> usize {
+        self.capacity.saturating_sub(self.used)
+    }
+
+    fn place(&mut self, prompt: &[Token]) -> Option<(Context, usize)> {
+        let blocks = prompt.len().div_ceil(self.prefix.block_size());
+        if self.used + blocks > self.capacity {
+            return None;
+        }
+        let hit = self.prefix.insert_sequence(prompt);
+        self.used += blocks;
+        let context = Context {
+            tokens: prompt.len(),
+            blocks,
+        };
+        Some((context, hit))
+    }
+
+    fn append(&mut self, seq: &mut Context) -> bool {
+        let needs_block = seq.tokens.is_multiple_of(self.prefix.block_size());
+        if needs_block && self.used >= self.capacity {
+            return false;
+        }
+        seq.tokens += 1;
+        if needs_block {
+            seq.blocks += 1;
+            self.used += 1;
+        }
+        true
+    }
+
+    fn release(&mut self, seq: &Context) -> Result<(), AllocError> {
+        self.used = self.used.saturating_sub(seq.blocks);
+        Ok(())
+    }
 }
 
 /// A replica priced entirely by closed-form cost models.
 #[derive(Debug)]
 pub struct AnalyticalReplica {
-    config: ServingConfig,
-    cost: CostModel,
+    core: ReplicaCore<Context>,
+    kv: BlockCounts,
     attn: AttnCalibration,
-    prefix: PrefixStore,
-    queue: RequestQueue,
-    active: Vec<ActiveLite>,
-    completed: Vec<RequestMetrics>,
-    clock: SimTime,
-    decode_steps: usize,
-    batch_acc: usize,
-    attn_time: SimDuration,
-    total_time: SimDuration,
-    preemptions: u64,
-    speed_factor: f64,
-    draining: bool,
-    used_blocks: usize,
 }
 
 impl AnalyticalReplica {
@@ -76,55 +107,24 @@ impl AnalyticalReplica {
     /// committed calibration table when the (model, GPU) pair is fitted,
     /// otherwise from the first-principles roofline fallback.
     pub fn new(config: ServingConfig) -> Self {
-        let tp = config.parallel.tp;
-        let head = shard_head(&config.model, tp);
+        let head = shard_head(&config.model, config.parallel.tp);
         let key = key_for(head, &config.gpu);
         let attn = CalibrationTable::committed()
             .lookup(&key)
             .cloned()
             .unwrap_or_else(|| AttnCalibration::roofline(head, &config.gpu, 2));
-        let cost = CostModel::with_tp(config.model, config.gpu.clone(), tp);
         let prefix_blocks = config
             .kv_capacity_blocks
             .min(ANALYTICAL_PREFIX_STORE_BLOCKS);
         AnalyticalReplica {
-            prefix: PrefixStore::new(prefix_blocks, DEFAULT_BLOCK_SIZE),
-            cost,
+            kv: BlockCounts {
+                prefix: PrefixStore::new(prefix_blocks, DEFAULT_BLOCK_SIZE),
+                capacity: config.kv_capacity_blocks,
+                used: 0,
+            },
+            core: ReplicaCore::new(config),
             attn,
-            config,
-            queue: RequestQueue::default(),
-            active: Vec::new(),
-            completed: Vec::new(),
-            clock: SimTime::ZERO,
-            decode_steps: 0,
-            batch_acc: 0,
-            attn_time: SimDuration::ZERO,
-            total_time: SimDuration::ZERO,
-            preemptions: 0,
-            speed_factor: 1.0,
-            draining: false,
-            used_blocks: 0,
         }
-    }
-
-    /// The attention calibration pricing this replica's decode steps.
-    pub fn calibration(&self) -> &AttnCalibration {
-        &self.attn
-    }
-
-    /// Frees the most recently arrived active request and requeues it for
-    /// recompute (the engine's preemption policy). Returns its index.
-    fn preempt_latest(&mut self) -> Option<usize> {
-        let victim = self
-            .active
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, a)| a.arrival)?
-            .0;
-        let a = self.active.swap_remove(victim);
-        self.used_blocks = self.used_blocks.saturating_sub(a.blocks);
-        self.queue.requeue_front(a.req_idx);
-        Some(a.req_idx)
     }
 }
 
@@ -134,173 +134,50 @@ impl ReplicaModel for AnalyticalReplica {
     }
 
     fn submit(&mut self, request: Request) {
-        assert!(!self.draining, "cannot submit to a draining replica");
-        self.queue.push(request);
+        self.core.submit(request);
     }
 
     fn step(&mut self) -> StepOutcome {
-        if let ControlFlow::Break(outcome) =
-            self.queue
-                .open_step(&mut self.clock, !self.active.is_empty(), &self.config)
-        {
-            return outcome;
-        }
-
-        let bs = self.prefix.block_size();
-        let capacity = self.config.kv_capacity_blocks;
-        let admitted = self
-            .queue
-            .select_prefills(&self.config, self.active.len(), || {
-                capacity.saturating_sub(self.used_blocks)
+        let attn = &self.attn;
+        let mut batch = 0;
+        let outcome = self.core.step(&mut self.kv, |core| {
+            // The exact engine's step formula, with the kernel-simulated
+            // report replaced by the calibration.
+            batch = core.num_active();
+            let (kv_total, kv_max) = core.running_kv().fold((0u64, 0u64), |(total, max), c| {
+                (total + c.tokens as u64, max.max(c.tokens as u64))
             });
-        if !admitted.is_empty() {
-            let mut computed_tokens = 0usize;
-            for &(idx, prompt_tokens) in &admitted {
-                let tokens = self.queue.request(idx).prompt.to_tokens();
-                let hit = self.prefix.insert_sequence(&tokens[..prompt_tokens]);
-                computed_tokens += prompt_tokens.saturating_sub(hit).max(1);
-            }
-            self.clock +=
-                SimDuration::from_ns_f64(self.cost.prefill_ns(computed_tokens) / self.speed_factor);
-            for (idx, prompt_tokens) in admitted {
-                let req = self.queue.request(idx);
-                let arrival = SimTime::from_secs_f64(req.arrival_s);
-                if req.decode_tokens <= 1 {
-                    self.completed
-                        .push(RequestMetrics::prefill_only(req.id, arrival, self.clock));
-                } else {
-                    let blocks = prompt_tokens.div_ceil(bs);
-                    self.used_blocks += blocks;
-                    let target = req.decode_tokens;
-                    self.active.push(ActiveLite {
-                        req_idx: idx,
-                        produced: 1,
-                        target,
-                        context_tokens: prompt_tokens,
-                        blocks,
-                        first_token: self.clock,
-                        arrival,
-                    });
-                }
-            }
-            return StepOutcome::Progress;
-        }
-        if self.active.is_empty() {
-            // Everything waiting was dropped or nothing is admissible yet.
-            return StepOutcome::Progress;
-        }
-
-        // Decode step: closed-form pricing with the exact engine's step
-        // formula, the kernel-simulated report replaced by the calibration.
-        let batch = self.active.len();
-        let kv_total: u64 = self.active.iter().map(|a| a.context_tokens as u64).sum();
-        let kv_max: u64 = self
-            .active
-            .iter()
-            .map(|a| a.context_tokens as u64)
-            .max()
-            .unwrap_or(0);
-        let kernel_ns = self.attn.kernel_ns(batch, kv_total, kv_max);
-        let sched_ns = self.attn.sched_ns(batch);
-        let attention_ns =
-            (kernel_ns * self.config.model.num_layers as f64 + sched_ns) / self.speed_factor;
-        let step_ns = attention_ns
-            + self
-                .cost
-                .decode_non_attention_ns(batch, self.config.parallel.pp)
-                / self.speed_factor;
-        let step = SimDuration::from_ns_f64(step_ns);
-        self.clock += step;
-        self.decode_steps += 1;
-        self.batch_acc += batch;
-        self.attn_time += SimDuration::from_ns_f64(attention_ns);
-        self.total_time += step;
-        self.prefix.note_decode_tokens(batch as u64);
-
-        // Grow each request by one token, preempting the youngest under KV
-        // pressure (the engine's recompute policy, on block arithmetic).
-        let mut i = 0;
-        while i < self.active.len() {
-            let my_req = self.active[i].req_idx;
-            let mut appended = false;
-            while let Some(pos) = self.active.iter().position(|a| a.req_idx == my_req) {
-                i = pos;
-                let needs_block = self.active[i]
-                    .context_tokens
-                    .is_multiple_of(self.prefix.block_size());
-                if !needs_block || self.used_blocks < capacity {
-                    self.active[i].context_tokens += 1;
-                    if needs_block {
-                        self.active[i].blocks += 1;
-                        self.used_blocks += 1;
-                    }
-                    appended = true;
-                    break;
-                }
-                self.preemptions += 1;
-                if self.preempt_latest().is_none() {
-                    break;
-                }
-            }
-            if !appended {
-                continue;
-            }
-            self.active[i].produced += 1;
-            if self.active[i].produced >= self.active[i].target {
-                let a = self.active.swap_remove(i);
-                self.used_blocks = self.used_blocks.saturating_sub(a.blocks);
-                self.completed.push(RequestMetrics::decoded(
-                    self.queue.request(a.req_idx).id,
-                    a.arrival,
-                    a.first_token,
-                    self.clock,
-                    a.produced,
-                ));
-            } else {
-                i += 1;
-            }
-        }
-        StepOutcome::Progress
+            let kernel_ns = attn.kernel_ns(batch, kv_total, kv_max);
+            Ok(kernel_ns * core.config().model.num_layers as f64 + attn.sched_ns(batch))
+        });
+        // Decode appends count as prefix-store misses, one per running
+        // request per decode step (`batch` stays 0 on other steps).
+        self.kv.prefix.note_decode_tokens(batch as u64);
+        outcome
     }
 
     fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    fn config(&self) -> &ServingConfig {
-        &self.config
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.queue.waiting_len()
+        self.core.clock()
     }
 
     fn num_active(&self) -> usize {
-        self.active.len()
+        self.core.num_active()
     }
 
     fn outstanding(&self) -> usize {
-        self.active.len() + self.queue.pending()
-    }
-
-    fn cache(&self) -> Option<&CacheManager> {
-        None
+        self.core.outstanding()
     }
 
     fn block_size(&self) -> usize {
-        self.prefix.block_size()
+        self.kv.prefix.block_size()
     }
 
     fn prefix_overlap(&self, probe: &mut PrefixProbe<'_>) -> usize {
-        self.prefix.overlap(probe)
-    }
-
-    fn cache_hit_rate(&self) -> f64 {
-        self.prefix.hit_rate()
+        self.kv.prefix.overlap(probe)
     }
 
     fn cache_hit_miss_tokens(&self) -> (u64, u64) {
-        self.prefix.hit_miss_tokens()
+        self.kv.prefix.hit_miss_tokens()
     }
 
     fn resident_block_hashes(&self) -> Vec<u64> {
@@ -312,41 +189,31 @@ impl ReplicaModel for AnalyticalReplica {
     }
 
     fn ingest_prefix(&mut self, tokens: &[Token]) -> IngestReport {
-        self.prefix.ingest_prefix(tokens)
+        self.kv.prefix.ingest_prefix(tokens)
     }
 
     fn cost_model(&self) -> &CostModel {
-        &self.cost
+        self.core.cost_model()
     }
 
     fn completed_requests(&self) -> &[RequestMetrics] {
-        &self.completed
+        self.core.completed_requests()
     }
 
     fn set_speed_factor(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "speed factor must be positive and finite"
-        );
-        self.speed_factor = factor;
+        self.core.set_speed_factor(factor);
     }
 
     fn speed_factor(&self) -> f64 {
-        self.speed_factor
+        self.core.speed_factor()
     }
 
     fn begin_drain(&mut self) {
-        self.draining = true;
-    }
-
-    fn is_draining(&self) -> bool {
-        self.draining
+        self.core.begin_drain();
     }
 
     fn take_incomplete(&mut self) -> Vec<Request> {
-        self.used_blocks = 0;
-        self.queue
-            .take_incomplete(self.active.drain(..).map(|a| a.req_idx))
+        self.core.take_incomplete(&mut self.kv)
     }
 
     fn step_sim_stats(&self) -> StepSimStats {
@@ -354,28 +221,7 @@ impl ReplicaModel for AnalyticalReplica {
     }
 
     fn into_result(self: Box<Self>) -> SimulationResult {
-        SimulationResult {
-            metrics: AggregateMetrics::from_requests(&self.completed),
-            per_request: self.completed,
-            decode_steps: self.decode_steps,
-            mean_batch: if self.decode_steps == 0 {
-                0.0
-            } else {
-                self.batch_acc as f64 / self.decode_steps as f64
-            },
-            attention_fraction: if self.total_time == SimDuration::ZERO {
-                0.0
-            } else {
-                self.attn_time.as_ns_f64() / self.total_time.as_ns_f64()
-            },
-            overhead_samples: Vec::new(),
-            step_sim: StepSimStats::default(),
-            unfinished: self.active.len() + self.queue.pending(),
-            preemptions: self.preemptions,
-            dropped: self.queue.dropped(),
-            plan_error: None,
-            fault: None,
-        }
+        self.core.into_result(Vec::new(), StepSimStats::default())
     }
 }
 

@@ -1,7 +1,7 @@
 //! The Exact fidelity: the full serving engine over the kernel simulator.
 
 use crate::{Fidelity, ReplicaModel};
-use kv_cache::{CacheManager, IngestReport, PrefixProbe, Token};
+use kv_cache::{IngestReport, PrefixProbe, Token};
 use serving::{
     CostModel, RequestMetrics, ServingAttention, ServingConfig, ServingEngine, SimulationResult,
     StepOutcome, StepSimStats,
@@ -19,8 +19,8 @@ pub struct ExactReplica {
 impl std::fmt::Debug for ExactReplica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExactReplica")
-            .field("clock", &self.engine.clock())
-            .field("outstanding", &self.engine.outstanding())
+            .field("clock", &self.engine.core().clock())
+            .field("outstanding", &self.engine.core().outstanding())
             .finish_non_exhaustive()
     }
 }
@@ -55,27 +55,15 @@ impl ReplicaModel for ExactReplica {
     }
 
     fn clock(&self) -> SimTime {
-        self.engine.clock()
-    }
-
-    fn config(&self) -> &ServingConfig {
-        self.engine.config()
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.engine.queue_depth()
+        self.engine.core().clock()
     }
 
     fn num_active(&self) -> usize {
-        self.engine.num_active()
+        self.engine.core().num_active()
     }
 
     fn outstanding(&self) -> usize {
-        self.engine.outstanding()
-    }
-
-    fn cache(&self) -> Option<&CacheManager> {
-        Some(self.engine.cache())
+        self.engine.core().outstanding()
     }
 
     fn block_size(&self) -> usize {
@@ -84,10 +72,6 @@ impl ReplicaModel for ExactReplica {
 
     fn prefix_overlap(&self, probe: &mut PrefixProbe<'_>) -> usize {
         self.engine.cache().prefix_overlap(probe)
-    }
-
-    fn cache_hit_rate(&self) -> f64 {
-        self.engine.cache().stats().hit_rate()
     }
 
     fn cache_hit_miss_tokens(&self) -> (u64, u64) {
@@ -104,11 +88,11 @@ impl ReplicaModel for ExactReplica {
     }
 
     fn cost_model(&self) -> &CostModel {
-        self.engine.cost_model()
+        self.engine.core().cost_model()
     }
 
     fn completed_requests(&self) -> &[RequestMetrics] {
-        self.engine.completed_requests()
+        self.engine.core().completed_requests()
     }
 
     fn set_speed_factor(&mut self, factor: f64) {
@@ -116,15 +100,11 @@ impl ReplicaModel for ExactReplica {
     }
 
     fn speed_factor(&self) -> f64 {
-        self.engine.speed_factor()
+        self.engine.core().speed_factor()
     }
 
     fn begin_drain(&mut self) {
         self.engine.begin_drain();
-    }
-
-    fn is_draining(&self) -> bool {
-        self.engine.is_draining()
     }
 
     fn take_incomplete(&mut self) -> Vec<Request> {

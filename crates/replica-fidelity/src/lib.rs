@@ -10,7 +10,7 @@
 //! This crate decouples *what a replica costs to simulate* from *what the
 //! fleet observes about it*. The [`ReplicaModel`] trait captures the exact
 //! surface the `controller` fleet loop consumes — submit / step /
-//! clock / queue depths / prefix probes / drain / metrics — and two
+//! clock / load counts / prefix probes / drain / metrics — and two
 //! interchangeable backends implement it:
 //!
 //! - [`ExactReplica`] — today's full [`serving::ServingEngine`] over the

@@ -1,7 +1,7 @@
 //! The [`ReplicaModel`] trait: the replica surface fleet drivers consume.
 
 use crate::{AnalyticalReplica, ExactReplica, Fidelity};
-use kv_cache::{CacheManager, IngestReport, PrefixProbe, Token};
+use kv_cache::{IngestReport, PrefixProbe, Token};
 use serving::{
     CostModel, RequestMetrics, ServingAttention, ServingConfig, SimulationResult, StepOutcome,
     StepSimStats,
@@ -37,22 +37,11 @@ pub trait ReplicaModel: Send + std::fmt::Debug {
     /// The replica's virtual clock.
     fn clock(&self) -> SimTime;
 
-    /// The replica's engine configuration.
-    fn config(&self) -> &ServingConfig;
-
-    /// Requests arrived but not yet admitted to the decode batch.
-    fn queue_depth(&self) -> usize;
-
     /// Requests currently in the decode batch.
     fn num_active(&self) -> usize;
 
     /// Submitted requests not yet completed or dropped.
     fn outstanding(&self) -> usize;
-
-    /// The live KV cache, when this fidelity maintains a real one
-    /// (`None` for analytical replicas, whose warmth is tracked by a
-    /// [`crate::PrefixStore`] instead).
-    fn cache(&self) -> Option<&CacheManager>;
 
     /// KV block size used for admission and transfer-size accounting.
     fn block_size(&self) -> usize;
@@ -63,9 +52,6 @@ pub trait ReplicaModel: Send + std::fmt::Debug {
     /// over the whole fleet. The probe's block size must be
     /// [`ReplicaModel::block_size`].
     fn prefix_overlap(&self, probe: &mut PrefixProbe<'_>) -> usize;
-
-    /// Token-level prefix-cache hit rate so far, in `[0, 1]`.
-    fn cache_hit_rate(&self) -> f64;
 
     /// Token-level prefix-cache `(hit, miss)` counters so far.
     fn cache_hit_miss_tokens(&self) -> (u64, u64);
@@ -94,9 +80,6 @@ pub trait ReplicaModel: Send + std::fmt::Debug {
 
     /// Enters drain mode: serve what is queued, reject new submissions.
     fn begin_drain(&mut self);
-
-    /// Whether the replica is draining.
-    fn is_draining(&self) -> bool;
 
     /// Removes and returns every incomplete request, in arrival order, for
     /// resubmission elsewhere (failover and fidelity switches).

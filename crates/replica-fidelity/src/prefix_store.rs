@@ -78,16 +78,6 @@ impl PrefixStore {
         (self.hit_tokens, self.miss_tokens)
     }
 
-    /// Token-level hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hit_tokens + self.miss_tokens;
-        if total == 0 {
-            0.0
-        } else {
-            self.hit_tokens as f64 / total as f64
-        }
-    }
-
     /// Leading tokens of the probed slice that are resident, at block
     /// granularity. Read-only: does not touch recency (mirroring the
     /// read-only probe contract of [`kv_cache::CacheManager::prefix_overlap`]).
@@ -216,7 +206,6 @@ mod tests {
         assert_eq!(covered, 64);
         let (hit, miss) = s.hit_miss_tokens();
         assert_eq!((hit, miss), (64, 64));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

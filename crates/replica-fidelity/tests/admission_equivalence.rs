@@ -1,13 +1,13 @@
 //! Property: Exact and Analytical replicas make the same admission
 //! decisions.
 //!
-//! Both fidelities admit through `serving::RequestQueue`: the context
-//! clamp, the `max_batch` and `max_prefill_tokens` limits, the KV watermark
-//! and the drop rule for requests that can never fit the pool. Their KV
-//! placement and step pricing differ, so their timings differ, but over a
-//! whole trace they must drop the same requests, complete every other one
-//! with its full token count, and never run more than `max_batch` requests
-//! at once.
+//! Both fidelities admit through the step of `serving::ReplicaCore`: the
+//! context clamp, the `max_batch` and `max_prefill_tokens` limits, the KV
+//! watermark and the drop rule for requests that can never fit the pool.
+//! Their KV placement and step pricing differ, so their timings differ, but
+//! over a whole trace they must drop the same requests, complete every
+//! other one with its full token count, and never run more than
+//! `max_batch` requests at once.
 
 use pat_core::LazyPat;
 use proptest::prelude::*;

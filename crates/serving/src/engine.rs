@@ -14,20 +14,20 @@
 //! [`ServingEngine::step`], interleaving [`ServingEngine::submit`] calls as
 //! routed requests arrive. `simulate_serving` is a thin wrapper over the
 //! steppable engine, so both paths execute identical scheduling decisions.
+//! The scheduling itself is [`ReplicaCore`]'s, shared with the analytical
+//! replica; this module adds block-table KV placement and kernel-simulated
+//! decode pricing.
 
 use crate::attention::ServingAttention;
-use crate::costs::CostModel;
 use crate::metrics::{AggregateMetrics, RequestMetrics};
 use crate::model::ModelSpec;
-use crate::queue::RequestQueue;
+use crate::replica::{KvPlacement, ReplicaCore};
 use attn_kernel::{batch_timing_fingerprint, simulate_plan_trusted, DecodeBatch};
 use attn_kernel::{StepSimCache, StepSimReport, StepSimStats};
 use attn_math::HeadConfig;
-use kv_cache::{AllocError, BlockTable, CacheManager, DEFAULT_BLOCK_SIZE};
+use kv_cache::{AllocError, BlockTable, CacheManager, Token, DEFAULT_BLOCK_SIZE};
 use serde::Serialize;
-use sim_core::{SimDuration, SimTime};
 use sim_gpu::{gpu_model_from_env, GpuSpec};
-use std::ops::ControlFlow;
 use workloads::Request;
 
 /// Tensor/pipeline parallel layout (§8.5).
@@ -172,52 +172,20 @@ pub enum StepOutcome {
     Idle,
 }
 
-#[derive(Debug)]
-struct Active {
-    req_idx: usize,
-    table: BlockTable,
-    produced: usize,
-    target: usize,
-    first_token: SimTime,
-    arrival: SimTime,
-}
-
 /// A steppable continuous-batching serving engine over one replica.
 ///
-/// Holds the complete scheduler state — KV cache, request queue, decode
-/// batch, virtual clock, and metric accumulators — and advances one
-/// scheduling iteration per [`step`](ServingEngine::step) call. Arrival
-/// intake and admission are [`RequestQueue`]'s, shared with every replica
-/// fidelity. The attention backend is passed into `step` rather than owned,
-/// so a fleet driver can keep engines and backends in separate collections.
-///
-/// When the KV pool runs out, the engine preempts the most recently arrived
-/// running request (vLLM's recompute policy): its blocks are freed and it
-/// restarts from prefill once space frees up.
+/// The Exact fidelity of [`ReplicaCore`]: running requests hold block
+/// tables in a prefix-reusing [`CacheManager`], and each decode step's
+/// attention is planned by the backend and priced by kernel simulation
+/// behind the step cache. Queueing, admission, preemption and every
+/// accumulator are the core's, read through [`ServingEngine::core`]. The
+/// attention backend is passed into `step` rather than owned, so a fleet
+/// driver can keep engines and backends in separate collections.
 #[derive(Debug)]
 pub struct ServingEngine {
-    config: ServingConfig,
-    cost: CostModel,
-    shard_head: HeadConfig,
+    core: ReplicaCore<BlockTable>,
     cache: CacheManager,
-    queue: RequestQueue,
-    active: Vec<Active>,
-    completed: Vec<RequestMetrics>,
-    clock: SimTime,
-    decode_steps: usize,
-    batch_acc: usize,
-    attn_time: SimDuration,
-    total_time: SimDuration,
-    overhead_samples: Vec<(f64, f64)>,
-    preemptions: u64,
-    speed_factor: f64,
-    draining: bool,
-    step_cache: StepSimCache,
-    /// Scratch arena: block-table vector recycled across decode steps so
-    /// the per-step `DecodeBatch` rebuild allocates nothing in steady state.
-    scratch_tables: Vec<BlockTable>,
-    /// First invariant fault that halted this replica, if any.
-    fault: Option<EngineError>,
+    pricing: KernelPricing,
 }
 
 impl ServingEngine {
@@ -232,90 +200,35 @@ impl ServingEngine {
             (full_head.num_kv_heads() / tp).max(1),
             full_head.head_dim(),
         );
-        let cost = CostModel::with_tp(config.model, config.gpu.clone(), tp);
         let cache = CacheManager::new(config.kv_capacity_blocks, DEFAULT_BLOCK_SIZE);
         ServingEngine {
-            config,
-            cost,
-            shard_head,
+            core: ReplicaCore::new(config),
             cache,
-            queue: RequestQueue::default(),
-            active: Vec::new(),
-            completed: Vec::new(),
-            clock: SimTime::ZERO,
-            decode_steps: 0,
-            batch_acc: 0,
-            attn_time: SimDuration::ZERO,
-            total_time: SimDuration::ZERO,
-            overhead_samples: Vec::new(),
-            preemptions: 0,
-            speed_factor: 1.0,
-            draining: false,
-            step_cache: StepSimCache::default(),
-            scratch_tables: Vec::new(),
-            fault: None,
+            pricing: KernelPricing {
+                shard_head,
+                step_cache: StepSimCache::default(),
+                scratch_tables: Vec::new(),
+                overhead_samples: Vec::new(),
+            },
         }
     }
 
-    /// Records the first fault and discards later ones: the first broken
-    /// invariant is the cause, anything after it is a symptom of the
-    /// already-corrupt state.
-    fn record_fault(&mut self, fault: EngineError) {
-        if self.fault.is_none() {
-            self.fault = Some(fault);
-        }
-    }
-
-    fn record_cache_fault(&mut self, op: &'static str, detail: impl std::fmt::Display) {
-        self.record_fault(EngineError::Cache {
-            op,
-            detail: detail.to_string(),
-        });
-    }
-
-    /// Submits a request. Requests must be submitted in arrival order; the
-    /// engine admits each once its virtual clock reaches the arrival time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request` arrives before a previously submitted request,
-    /// or if the engine is draining (a draining replica must not receive
-    /// new work; route it elsewhere).
-    pub fn submit(&mut self, request: Request) {
-        assert!(!self.draining, "cannot submit to a draining engine");
-        self.queue.push(request);
-    }
-
-    /// The engine's virtual clock.
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ServingConfig {
-        &self.config
-    }
-
-    /// Requests arrived but not yet admitted to the decode batch.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.waiting_len()
-    }
-
-    /// Requests currently in the decode batch.
-    pub fn num_active(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Submitted requests not yet completed or dropped (includes requests
-    /// whose arrival time is still in the engine's future).
-    pub fn outstanding(&self) -> usize {
-        self.active.len() + self.queue.pending()
+    /// The replica's scheduler state: clock, configuration, cost model,
+    /// queue and batch sizes, completion records, speed factor and drain
+    /// flag.
+    pub fn core(&self) -> &ReplicaCore<BlockTable> {
+        &self.core
     }
 
     /// The replica's KV cache, for read-only introspection (prefix-overlap
     /// probes, hit-rate stats, residency queries) by routers and metrics.
     pub fn cache(&self) -> &CacheManager {
         &self.cache
+    }
+
+    /// Submits a request; see [`ReplicaCore::submit`].
+    pub fn submit(&mut self, request: Request) {
+        self.core.submit(request);
     }
 
     /// Ingests migrated KV for the full-block prefix of `tokens` into this
@@ -329,215 +242,103 @@ impl ServingEngine {
         self.cache.ingest_prefix(tokens)
     }
 
-    /// The cost model pricing this replica's prefill and decode steps (used
-    /// by the controller's migrate-vs-recompute decision).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Per-request records of requests completed so far.
-    pub fn completed_requests(&self) -> &[RequestMetrics] {
-        &self.completed
-    }
-
-    /// Ids of the requests currently in the decode batch, in batch order.
-    pub fn active_request_ids(&self) -> Vec<u64> {
-        self.active
-            .iter()
-            .map(|a| self.queue.request(a.req_idx).id)
-            .collect()
-    }
-
-    /// Sets the replica's speed factor: 1.0 is nominal, 0.5 makes every
-    /// prefill and decode step take twice as long (a straggler), values
-    /// above 1.0 model a faster part. Virtual time already spent is not
-    /// rewritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not strictly positive and finite.
+    /// Sets the replica's speed factor; see [`ReplicaCore::set_speed_factor`].
     pub fn set_speed_factor(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "speed factor must be positive and finite"
-        );
-        self.speed_factor = factor;
+        self.core.set_speed_factor(factor);
     }
 
-    /// The replica's current speed factor (1.0 = nominal).
-    pub fn speed_factor(&self) -> f64 {
-        self.speed_factor
-    }
-
-    /// Puts the engine into drain mode: it keeps serving everything already
-    /// submitted but rejects new submissions. Used for graceful scale-down —
-    /// the fleet controller stops routing here, waits for
-    /// [`outstanding`](ServingEngine::outstanding) to reach zero, then
-    /// retires the replica.
+    /// Puts the engine into drain mode; see [`ReplicaCore::begin_drain`].
     pub fn begin_drain(&mut self) {
-        self.draining = true;
+        self.core.begin_drain();
     }
 
-    /// Whether the engine is in drain mode.
-    pub fn is_draining(&self) -> bool {
-        self.draining
-    }
-
-    /// Removes and returns every submitted-but-incomplete request — queued,
-    /// decoding, or not yet arrived — in arrival order, for
-    /// resubmission on another replica. Decoding requests are evicted
-    /// through the same path as KV-pressure preemption (blocks freed,
-    /// partial output discarded), so a requeued request restarts from
-    /// prefill wherever it lands next; these evictions are failover
-    /// requeues, not pressure preemptions, and do not count in
-    /// [`SimulationResult::preemptions`].
+    /// Removes and returns every incomplete request, freeing the blocks of
+    /// the decoding ones; see [`ReplicaCore::take_incomplete`].
     pub fn take_incomplete(&mut self) -> Vec<Request> {
-        let mut indices: Vec<usize> = Vec::new();
-        let mut free_fault: Option<AllocError> = None;
-        for a in self.active.drain(..) {
-            // The request is still handed back for resubmission elsewhere;
-            // the freeing fault halts only this (now-retiring) replica.
-            if let Err(e) = self.cache.free_sequence(&a.table) {
-                free_fault = Some(e);
-            }
-            indices.push(a.req_idx);
-        }
-        if let Some(e) = free_fault {
-            self.record_cache_fault("free_sequence (failover eviction)", e);
-        }
-        self.queue.take_incomplete(indices)
-    }
-
-    /// Frees the most recently arrived active request and requeues it for
-    /// recompute. Returns the preempted request index, or `None`.
-    fn preempt_latest(&mut self) -> Option<usize> {
-        let victim = self
-            .active
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, a)| a.arrival)?
-            .0;
-        let a = self.active.swap_remove(victim);
-        // A failed free corrupts the pool accounting: record the fault (the
-        // step loop halts on it) but still requeue the victim, so it is
-        // counted as unfinished rather than silently lost.
-        if let Err(e) = self.cache.free_sequence(&a.table) {
-            self.record_cache_fault("free_sequence (preemption)", e);
-        }
-        self.queue.requeue_front(a.req_idx);
-        Some(a.req_idx)
+        self.core.take_incomplete(&mut self.cache)
     }
 
     /// Runs one scheduling iteration: admit arrivals, then either prefill,
     /// decode, or jump the idle clock forward to the next pending arrival.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a single request exceeds the KV pool even with every other
-    /// request preempted.
+    /// A planning, kernel-simulation or KV-cache fault halts the replica
+    /// instead of panicking; see [`ReplicaCore::step`].
     pub fn step(&mut self, attention: &mut dyn ServingAttention) -> StepOutcome {
-        // A faulted replica is halted: no further scheduling, in-flight
-        // requests surface as unfinished in `into_result`.
-        if self.fault.is_some() {
-            return StepOutcome::Idle;
-        }
-        if let ControlFlow::Break(outcome) =
-            self.queue
-                .open_step(&mut self.clock, !self.active.is_empty(), &self.config)
-        {
-            return outcome;
-        }
+        self.core.step(&mut self.cache, |core| {
+            self.pricing.attention_ns(core, attention)
+        })
+    }
 
-        let admitted = self
-            .queue
-            .select_prefills(&self.config, self.active.len(), || {
-                self.cache.available_blocks()
-            });
-        if !admitted.is_empty() {
-            // Prefix caching discounts prefill compute (vLLM APC /
-            // SGLang): prompt blocks already resident in the KV cache are
-            // reused, so only each request's uncached suffix is computed.
-            // At least one token is always computed — the final partial
-            // block is never cached and the request needs fresh logits.
-            let mut computed_tokens = 0usize;
-            let mut placed = Vec::with_capacity(admitted.len());
-            let mut admitting = admitted.into_iter();
-            'admit: while let Some((idx, prompt_tokens)) = admitting.next() {
-                let tokens = self.queue.request(idx).prompt.to_tokens()[..prompt_tokens].to_vec();
-                let (table, hit_tokens) = loop {
-                    let hits_before = self.cache.stats().hit_tokens;
-                    match self.cache.insert_sequence(&tokens) {
-                        Ok(t) => {
-                            let hit = self.cache.stats().hit_tokens - hits_before;
-                            break (t, hit as usize);
-                        }
-                        Err(_) => {
-                            self.preemptions += 1;
-                            if self.preempt_latest().is_none() {
-                                panic!("a single request exceeds the KV pool");
-                            }
-                            if self.fault.is_some() {
-                                // Preemption hit a cache fault: freeing made
-                                // no room, so retrying can spin forever.
-                                // Restore the un-admitted requests to the
-                                // waiting queue (they count as unfinished)
-                                // and halt.
-                                let rest: Vec<usize> = std::iter::once(idx)
-                                    .chain(admitting.by_ref().map(|(i, _)| i))
-                                    .collect();
-                                for &r in rest.iter().rev() {
-                                    self.queue.requeue_front(r);
-                                }
-                                break 'admit;
-                            }
-                        }
-                    }
-                };
-                computed_tokens += prompt_tokens.saturating_sub(hit_tokens).max(1);
-                placed.push((idx, table));
-            }
-            self.clock +=
-                SimDuration::from_ns_f64(self.cost.prefill_ns(computed_tokens) / self.speed_factor);
-            for (idx, table) in placed {
-                let req = self.queue.request(idx);
-                let arrival = SimTime::from_secs_f64(req.arrival_s);
-                if req.decode_tokens <= 1 {
-                    let record = RequestMetrics::prefill_only(req.id, arrival, self.clock);
-                    if let Err(e) = self.cache.free_sequence(&table) {
-                        // Completion metrics still count; the fault halts
-                        // the replica on the next step.
-                        self.record_cache_fault("free_sequence (prefill-only)", e);
-                    }
-                    self.completed.push(record);
-                } else {
-                    let target = req.decode_tokens;
-                    self.active.push(Active {
-                        req_idx: idx,
-                        table,
-                        produced: 1,
-                        target,
-                        first_token: self.clock,
-                        arrival,
-                    });
-                }
-            }
-            return StepOutcome::Progress;
-        }
-        if self.active.is_empty() {
-            // Everything waiting was dropped or nothing is admissible yet.
-            return StepOutcome::Progress;
-        }
-        // Nothing admissible right now: decode so departures can free KV
-        // blocks for the waiting requests. The block-table vector comes from
-        // the scratch arena (recovered from the batch below), so steady-state
-        // decode allocates no fresh tables.
+    /// Step-simulation cache counters so far (hits skip the sim-gpu event
+    /// loop; see [`StepSimCache`]).
+    pub fn step_sim_stats(&self) -> StepSimStats {
+        self.pricing.step_cache.stats()
+    }
+
+    /// Finalizes the simulation, consuming the engine. Requests still in
+    /// flight (or never admitted) count as unfinished.
+    pub fn into_result(self) -> SimulationResult {
+        let step_sim = self.pricing.step_cache.stats();
+        self.core
+            .into_result(self.pricing.overhead_samples, step_sim)
+    }
+}
+
+/// Exact KV placement: block tables in the prefix-reusing cache.
+impl KvPlacement for CacheManager {
+    type Seq = BlockTable;
+
+    fn free_blocks(&self) -> usize {
+        self.available_blocks()
+    }
+
+    fn place(&mut self, prompt: &[Token]) -> Option<(BlockTable, usize)> {
+        let hits_before = self.stats().hit_tokens;
+        let table = self.insert_sequence(prompt).ok()?;
+        let hit = self.stats().hit_tokens - hits_before;
+        Some((table, hit as usize))
+    }
+
+    fn append(&mut self, table: &mut BlockTable) -> bool {
+        self.append_token(table).is_ok()
+    }
+
+    fn release(&mut self, table: &BlockTable) -> Result<(), AllocError> {
+        self.free_sequence(table)
+    }
+}
+
+/// Exact decode pricing: the backend plans the step and the kernel
+/// simulator prices it, memoized by the step cache.
+#[derive(Debug)]
+struct KernelPricing {
+    shard_head: HeadConfig,
+    step_cache: StepSimCache,
+    /// Scratch arena: block-table vector recycled across decode steps so
+    /// the per-step `DecodeBatch` rebuild allocates nothing in steady state.
+    scratch_tables: Vec<BlockTable>,
+    /// Fig. 16 `(scheduler, pre-attention)` samples, one per scheduler
+    /// invocation.
+    overhead_samples: Vec<(f64, f64)>,
+}
+
+impl KernelPricing {
+    /// One decode step's attention time at nominal speed, in ns.
+    fn attention_ns(
+        &mut self,
+        core: &ReplicaCore<BlockTable>,
+        attention: &mut dyn ServingAttention,
+    ) -> Result<f64, EngineError> {
+        let config = core.config();
+        // The block-table vector comes from the scratch arena (recovered
+        // from the batch below), so steady-state decode allocates no fresh
+        // tables.
         let mut tables = std::mem::take(&mut self.scratch_tables);
-        tables.truncate(self.active.len());
-        for (i, a) in self.active.iter().enumerate() {
+        tables.truncate(core.num_active());
+        for (i, table) in core.running_kv().enumerate() {
             if i < tables.len() {
-                tables[i].clone_from(&a.table);
+                tables[i].clone_from(table);
             } else {
-                tables.push(a.table.clone());
+                tables.push(table.clone());
             }
         }
         let batch = DecodeBatch::new(self.shard_head, tables, 2);
@@ -547,160 +348,47 @@ impl ServingEngine {
         // sim-gpu event loop. Any structural change — arrival, departure,
         // preemption, a table growing a block — changes the fingerprint.
         let key = (
-            batch_timing_fingerprint(&batch, &self.config.gpu),
+            batch_timing_fingerprint(&batch, &config.gpu),
             backend_fingerprint(attention),
         );
-        let (report, cache_hit) = match self.step_cache.get(key) {
-            Some(report) => (report, true),
-            None => {
-                let plan = match attention.plan_step(&batch, &self.config.gpu) {
-                    Ok(plan) => plan,
-                    Err(e) => {
-                        // No feasible tile for this device/geometry: record
-                        // the typed failure and halt the replica cleanly.
-                        // In-flight requests surface as `unfinished`.
-                        self.record_fault(EngineError::Plan(e.to_string()));
-                        self.scratch_tables = batch.into_tables();
-                        return StepOutcome::Idle;
+        let report = match self.step_cache.get(key) {
+            Some(report) => Ok(report),
+            // No feasible tile for this device/geometry, or a plan the
+            // kernel simulator rejects: a typed failure that halts the
+            // replica cleanly.
+            None => attention
+                .plan_step(&batch, &config.gpu)
+                .map_err(|e| EngineError::Plan(e.to_string()))
+                .and_then(|plan| {
+                    simulate_plan_trusted(&batch, &plan, &config.gpu)
+                        .map_err(|e| EngineError::Simulate(e.to_string()))
+                })
+                .map(|full| {
+                    let report = StepSimReport {
+                        total_ns: full.total_ns,
+                        scheduling_ns: full.scheduling_ns,
+                    };
+                    self.step_cache.insert(key, report);
+                    // Fig. 16 samples per scheduler *invocation*: a cached
+                    // step ran no scheduler, so there is nothing to overlap
+                    // with pre-attention work.
+                    if let Some(sched) = attention.scheduling_cost_ns(&batch) {
+                        let pre = core.cost_model().pre_attention_ns(batch.num_queries());
+                        self.overhead_samples.push((sched, pre));
                     }
-                };
-                let full = match simulate_plan_trusted(&batch, &plan, &self.config.gpu) {
-                    Ok(full) => full,
-                    Err(e) => {
-                        // The backend produced a plan the kernel simulator
-                        // rejects — same clean halt as a planning failure.
-                        self.record_fault(EngineError::Simulate(e.to_string()));
-                        self.scratch_tables = batch.into_tables();
-                        return StepOutcome::Idle;
-                    }
-                };
-                let report = StepSimReport {
-                    total_ns: full.total_ns,
-                    scheduling_ns: full.scheduling_ns,
-                };
-                self.step_cache.insert(key, report);
-                (report, false)
-            }
+                    report
+                }),
         };
-        // Kernel time repeats per layer; exposed CPU scheduling is paid once
-        // per step (the plan's metadata is shared across layers).
-        let attention_ns = (report.total_ns - report.scheduling_ns)
-            * self.config.model.num_layers as f64
-            + report.scheduling_ns;
-        // A straggler (speed factor < 1) stretches every step it executes.
-        let attention_ns = attention_ns / self.speed_factor;
-        let step_ns = attention_ns
-            + self
-                .cost
-                .decode_non_attention_ns(batch.num_queries(), self.config.parallel.pp)
-                / self.speed_factor;
-        // Fig. 16 samples per scheduler *invocation*: a cached step ran no
-        // scheduler, so there is nothing to overlap with pre-attention work.
-        if !cache_hit {
-            if let Some(sched) = attention.scheduling_cost_ns(&batch) {
-                self.overhead_samples
-                    .push((sched, self.cost.pre_attention_ns(batch.num_queries())));
-            }
-        }
-        // Quantize the step once onto the integer spine; the attention share
-        // is quantized with the same rounding so the fraction stays honest.
-        let step = SimDuration::from_ns_f64(step_ns);
-        self.clock += step;
-        self.decode_steps += 1;
-        self.batch_acc += batch.num_queries();
-        self.attn_time += SimDuration::from_ns_f64(attention_ns);
-        self.total_time += step;
         // Return the table vector to the scratch arena; it keeps its
         // capacity for the next step.
         self.scratch_tables = batch.into_tables();
-
-        let mut i = 0;
-        while i < self.active.len() {
-            if self.fault.is_some() {
-                // A cache fault mid-append: stop mutating the pool; the
-                // replica halts on the next step call.
-                break;
-            }
-            // Append this request's new token, preempting the youngest
-            // request under KV pressure (possibly this one).
-            let my_req = self.active[i].req_idx;
-            let mut appended = false;
-            // The loop exits without appending when this request was itself
-            // preempted (its index no longer appears in the active set).
-            while let Some(pos) = self.active.iter().position(|a| a.req_idx == my_req) {
-                i = pos;
-                if self.cache.append_token(&mut self.active[i].table).is_ok() {
-                    appended = true;
-                    break;
-                }
-                self.preemptions += 1;
-                if self.preempt_latest().is_none() {
-                    panic!("a single request exceeds the KV pool");
-                }
-                if self.fault.is_some() {
-                    break;
-                }
-            }
-            if !appended {
-                // Restart scanning: indices shifted and this slot now holds a
-                // different (already-processed or pending) request. The next
-                // decode step will cover any request we skip here.
-                continue;
-            }
-            self.active[i].produced += 1;
-            if self.active[i].produced >= self.active[i].target {
-                let a = self.active.swap_remove(i);
-                if let Err(e) = self.cache.free_sequence(&a.table) {
-                    self.record_cache_fault("free_sequence (completion)", e);
-                }
-                self.completed.push(RequestMetrics::decoded(
-                    self.queue.request(a.req_idx).id,
-                    a.arrival,
-                    a.first_token,
-                    self.clock,
-                    a.produced,
-                ));
-            } else {
-                i += 1;
-            }
-        }
-        StepOutcome::Progress
-    }
-
-    /// Step-simulation cache counters so far (hits skip the sim-gpu event
-    /// loop; see [`StepSimCache`]).
-    pub fn step_sim_stats(&self) -> StepSimStats {
-        self.step_cache.stats()
-    }
-
-    /// Finalizes the simulation, consuming the engine. Requests still in
-    /// flight (or never admitted) count as unfinished.
-    pub fn into_result(self) -> SimulationResult {
-        SimulationResult {
-            metrics: AggregateMetrics::from_requests(&self.completed),
-            per_request: self.completed,
-            decode_steps: self.decode_steps,
-            mean_batch: if self.decode_steps == 0 {
-                0.0
-            } else {
-                self.batch_acc as f64 / self.decode_steps as f64
-            },
-            attention_fraction: if self.total_time == SimDuration::ZERO {
-                0.0
-            } else {
-                self.attn_time.as_ns_f64() / self.total_time.as_ns_f64()
-            },
-            overhead_samples: self.overhead_samples,
-            step_sim: self.step_cache.stats(),
-            unfinished: self.active.len() + self.queue.pending(),
-            preemptions: self.preemptions,
-            dropped: self.queue.dropped(),
-            plan_error: match &self.fault {
-                Some(EngineError::Plan(e)) => Some(e.clone()),
-                _ => None,
-            },
-            fault: self.fault.as_ref().map(|f| f.to_string()),
-        }
+        let report = report?;
+        // Kernel time repeats per layer; exposed CPU scheduling is paid once
+        // per step (the plan's metadata is shared across layers).
+        Ok(
+            (report.total_ns - report.scheduling_ns) * config.model.num_layers as f64
+                + report.scheduling_ns,
+        )
     }
 }
 
@@ -721,8 +409,9 @@ fn backend_fingerprint(attention: &dyn ServingAttention) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if requests are unsorted, or if a single request cannot fit in
-/// the KV pool even with every other request preempted.
+/// Panics if requests are unsorted. A prompt that cannot fit the KV pool
+/// even with every other request preempted halts the replica with an
+/// [`EngineError::Cache`] fault, reported in [`SimulationResult::fault`].
 pub fn simulate_serving(
     config: &ServingConfig,
     attention: &mut dyn ServingAttention,
@@ -816,6 +505,9 @@ mod tests {
         let mut pat = LazyPat::new();
         let result = simulate_serving(&config(), &mut pat, &requests);
         assert!(!result.overhead_samples.is_empty());
+        // Structural: LazyPat plans only on step-cache misses, and a step
+        // with its frozen structure would hit the timing key that miss left.
+        assert_eq!(pat.stats().hits, 0);
         let (sched, pre): (Vec<f64>, Vec<f64>) = result.overhead_samples.iter().copied().unzip();
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(
@@ -907,7 +599,7 @@ mod tests {
         let mut engine = ServingEngine::new(config());
         for request in &requests {
             let arrival = sim_core::SimTime::from_secs_f64(request.arrival_s);
-            while engine.clock() < arrival {
+            while engine.core().clock() < arrival {
                 if engine.step(&mut pat_b) == StepOutcome::Idle {
                     break;
                 }
@@ -979,20 +671,26 @@ mod tests {
                 break;
             }
         }
-        let done_before = engine.completed_requests().len();
+        let done_before = engine.core().completed_requests().len();
         assert!(done_before > 0 && done_before < requests.len(), "mid-run");
         let free_before = engine.cache().available_blocks();
         let requeued = engine.take_incomplete();
         assert_eq!(done_before + requeued.len(), requests.len());
         assert!(engine.cache().available_blocks() >= free_before);
-        assert_eq!(engine.outstanding(), 0);
+        // No leaked blocks: whatever is still allocated is held only by
+        // the prefix cache.
+        assert_eq!(
+            engine.cache().allocator().used_blocks(),
+            engine.cache().evictable_blocks()
+        );
+        assert_eq!(engine.core().outstanding(), 0);
         // Requeued requests come back in arrival order, ready to resubmit.
         assert!(requeued
             .windows(2)
             .all(|w| w[0].arrival_s <= w[1].arrival_s));
         // The engine itself is still serviceable and idle.
         while engine.step(&mut pat) == StepOutcome::Progress {}
-        assert_eq!(engine.completed_requests().len(), done_before);
+        assert_eq!(engine.core().completed_requests().len(), done_before);
     }
 
     #[test]
@@ -1003,11 +701,11 @@ mod tests {
             engine.submit(request.clone());
         }
         engine.begin_drain();
-        assert!(engine.is_draining());
+        assert!(engine.core().is_draining());
         let mut pat = LazyPat::new();
         while engine.step(&mut pat) == StepOutcome::Progress {}
-        assert_eq!(engine.outstanding(), 0);
-        assert_eq!(engine.completed_requests().len(), requests.len());
+        assert_eq!(engine.core().outstanding(), 0);
+        assert_eq!(engine.core().completed_requests().len(), requests.len());
     }
 
     #[test]
@@ -1091,19 +789,19 @@ mod tests {
         for request in &requests {
             engine.submit(request.clone());
         }
-        assert_eq!(engine.outstanding(), requests.len());
-        assert_eq!(engine.queue_depth(), 0);
+        assert_eq!(engine.core().outstanding(), requests.len());
+        assert_eq!(engine.core().queue_depth(), 0);
         let mut pat = LazyPat::new();
         let mut saw_active = false;
         while engine.step(&mut pat) == StepOutcome::Progress {
-            saw_active |= engine.num_active() > 0;
+            saw_active |= engine.core().num_active() > 0;
         }
         assert!(saw_active);
         assert!(
             engine.cache().stats().hit_tokens > 0,
             "trace shares prefixes"
         );
-        assert_eq!(engine.completed_requests().len(), requests.len());
-        assert_eq!(engine.outstanding(), 0);
+        assert_eq!(engine.core().completed_requests().len(), requests.len());
+        assert_eq!(engine.core().outstanding(), 0);
     }
 }

@@ -38,6 +38,7 @@ mod engine;
 mod metrics;
 mod model;
 mod queue;
+mod replica;
 
 pub use attention::{ServingAttention, Stateless};
 pub use attn_kernel::{StepSimCache, StepSimReport, StepSimStats, DEFAULT_STEP_CACHE_CAPACITY};
@@ -49,4 +50,4 @@ pub use engine::{
 };
 pub use metrics::{percentile, AggregateMetrics, RequestMetrics};
 pub use model::{ModelSpec, MoeSpec};
-pub use queue::RequestQueue;
+pub use replica::{KvPlacement, ReplicaCore};

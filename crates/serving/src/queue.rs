@@ -4,8 +4,8 @@
 //! scheduling decisions that do not depend on how the replica stores KV or
 //! prices attention: arrival intake onto the integer spine, the idle-clock
 //! jump, the drain deadline, and prefill-priority admission with the vLLM KV
-//! watermark. [`crate::ServingEngine`] and the analytical replica both call
-//! it, so the two fidelities cannot drift apart on admission.
+//! watermark. [`crate::ReplicaCore`] is its only user, so every fidelity
+//! admits through it.
 
 use crate::engine::{ServingConfig, StepOutcome};
 use kv_cache::DEFAULT_BLOCK_SIZE;
@@ -21,7 +21,7 @@ use workloads::Request;
 /// Requests are named by their submission index; a replica's running set
 /// holds these indices.
 #[derive(Debug, Default)]
-pub struct RequestQueue {
+pub(crate) struct RequestQueue {
     requests: Vec<Request>,
     waiting: VecDeque<usize>,
     next_arrival: usize,

@@ -176,13 +176,14 @@ mod serving_preemption {
         let mut backend = LazyPat::new();
         let mut evictions = 0u64;
         loop {
-            let before: BTreeSet<u64> = engine.active_request_ids().into_iter().collect();
-            let completed_before = engine.completed_requests().len();
+            let before: BTreeSet<u64> = engine.core().active_request_ids().into_iter().collect();
+            let completed_before = engine.core().completed_requests().len();
             if engine.step(&mut backend) == StepOutcome::Idle {
                 break;
             }
-            let after: BTreeSet<u64> = engine.active_request_ids().into_iter().collect();
-            let newly_completed: BTreeSet<u64> = engine.completed_requests()[completed_before..]
+            let after: BTreeSet<u64> = engine.core().active_request_ids().into_iter().collect();
+            let newly_completed: BTreeSet<u64> = engine.core().completed_requests()
+                [completed_before..]
                 .iter()
                 .map(|m| m.request_id)
                 .collect();
@@ -191,6 +192,10 @@ mod serving_preemption {
                 .filter(|id| !after.contains(id) && !newly_completed.contains(id))
                 .count() as u64;
         }
+        // Zero leaked KV at quiesce: every block still allocated is held
+        // only by the prefix cache.
+        let cache = engine.cache();
+        assert_eq!(cache.allocator().used_blocks(), cache.evictable_blocks());
         (engine.into_result(), evictions)
     }
 
