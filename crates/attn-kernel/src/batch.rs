@@ -284,6 +284,10 @@ impl KvStore {
 /// free of a `rand` dependency).
 fn synth_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "test data: an f32 draw in [-1, 1) needs no f64 precision"
+    )]
     let mut next = || {
         state ^= state << 13;
         state ^= state >> 7;

@@ -80,7 +80,7 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` keyed by [`FxHasher`]: deterministic (no `RandomState`) and
 /// fast for the small integer keys the kernel layer uses. Lookups only in
-/// simulation code — iteration order is still unspecified (sim-lint R2).
+/// simulation code — iteration order is still unspecified (rule R2).
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]

@@ -300,7 +300,11 @@ pub fn execute_numeric_parallel(
     // Each worker owns a disjoint chunk of CTAs and produces its own partial
     // table; the main thread merges the tables.
     let chunk = plan.ctas.len().div_ceil(threads).max(1);
-    // simlint: allow(R6) -- kernel-internal worker pool predating sim_core::par: CTA chunks are disjoint and partial tables merge in spawn order, so the result is thread-count invariant
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "kernel-internal worker pool predating sim_core::par: CTA chunks are disjoint \
+                  and partial tables merge in spawn order, so the result is thread-count invariant"
+    )]
     let tables: Vec<Vec<Vec<PartialAttn>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = plan
             .ctas

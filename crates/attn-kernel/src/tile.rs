@@ -11,6 +11,7 @@
 //! * the per-CTA sustainable load rate (`2·n·h·b / L`, constraint ②);
 //! * tensor-core work per tile (`4·m·n·h` FLOPs for QKᵀ and PV).
 
+use sim_core::cast::f64_to_usize;
 use sim_gpu::{CtaResources, GpuSpec};
 use std::fmt;
 
@@ -86,7 +87,7 @@ impl TileConfig {
         // part for other dims.
         let accum_scale = head_dim as f64 / 128.0;
         let overhead = 40.0;
-        ((base as f64 - overhead) * accum_scale + overhead) as usize + self.n / 8
+        f64_to_usize((base as f64 - overhead) * accum_scale + overhead) + self.n / 8
     }
 
     /// Full resource footprint of one CTA running this tile.

@@ -217,7 +217,7 @@ mod tests {
     use crate::{CtaPlan, KvSlice};
     use attn_math::HeadConfig;
     use kv_cache::{BlockId, BlockTable};
-    use sim_core::cast::usize_to_u32;
+    use sim_core::cast::{u64_to_usize, usize_to_u32};
 
     fn batch(n_queries: usize, shared_blocks: usize, private_blocks: usize) -> DecodeBatch {
         let head = HeadConfig::new(32, 8, 128);
@@ -340,6 +340,6 @@ mod tests {
             .trace
             .ctas
             .iter()
-            .all(|c| (c.tag as usize) < plan.ctas.len()));
+            .all(|c| u64_to_usize(c.tag) < plan.ctas.len()));
     }
 }

@@ -121,6 +121,7 @@ pub fn quantize_partial_f16(p: &PartialAttn, head_dim: usize) -> PartialAttn {
     // invariant: accumulate a first entry to set the max, then scale.
     let m = quantize_f16(p.max_score());
     let l = quantize_f16(p.sum_exp());
+    #[expect(clippy::expect_used, reason = "the empty state returned early")]
     let acc_over_l: Vec<f32> = p
         .finalize()
         .expect("non-empty")

@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod gqa;
 pub mod half;

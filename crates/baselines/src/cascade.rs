@@ -51,6 +51,7 @@ impl AttentionBackend for Cascade {
             .into_iter()
             .map(|p| {
                 let tile = if p.queries.len() > 1 { shared } else { unique };
+                #[expect(clippy::expect_used, reason = "every pack start was collected above")]
                 let phase = starts.binary_search(&p.start).expect("start collected");
                 CtaPlan {
                     queries: p.queries,

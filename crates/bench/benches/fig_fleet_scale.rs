@@ -39,6 +39,10 @@ use rand::SeedableRng;
 use replica_fidelity::{Fidelity, ANALYTICAL_REL_ERROR_BOUND};
 use serde::Serialize;
 use serving::{ModelSpec, ServingAttention, ServingConfig};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the scale cell reports host wall-clock"
+)]
 use std::time::Instant;
 use workloads::{
     generate_multi_tenant_at, Burst, BurstyArrivals, DiurnalArrivals, MultiTenantTrace, TraceKind,
@@ -289,6 +293,7 @@ fn main() {
 
     let run_at = |fidelity: Fidelity| {
         let config = ClusterConfig::new(sc.validation_replicas, engine());
+        #[expect(clippy::disallowed_types, reason = "host wall-clock of each fidelity")]
         let t0 = Instant::now();
         let result =
             Cluster::with_fidelity(&config, Box::new(RoundRobin::new()), fidelity, lazy_pat)
@@ -374,6 +379,7 @@ fn main() {
     );
 
     let router = Box::new(LeastOutstanding::new());
+    #[expect(clippy::disallowed_types, reason = "host wall-clock of the scale day")]
     let t0 = Instant::now();
     let result = FleetController::with_lazy_pat(scale_config(&sc), router, day_faults(&sc))
         .run(&day.requests);

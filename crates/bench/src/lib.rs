@@ -10,6 +10,8 @@
 //! See `DESIGN.md` for the experiment ↔ module index and `EXPERIMENTS.md`
 //! for paper-vs-measured numbers.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use attn_kernel::{simulate_plan, AttentionBackend, DecodeBatch, TimingReport};
 use baselines::{
     Cascade, Deft, FastTree, FlashAttention, FlashInfer, RelayAttention, RelayAttentionPP,

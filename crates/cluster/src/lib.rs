@@ -12,6 +12,9 @@
 //! };
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+
 pub use controller::{
     load_imbalance, Cluster, ClusterConfig, ClusterResult, LeastOutstanding, PrefixAffinity,
     ReplicaView, RoundRobin, Router,

@@ -7,6 +7,10 @@
 //! statistical analysis, HTML reports, or CLI filtering.
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a benchmark timer measures host time"
+)]
 
 use std::time::{Duration, Instant};
 

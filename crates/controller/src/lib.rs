@@ -119,6 +119,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 mod cluster;
 mod faults;

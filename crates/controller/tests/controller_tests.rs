@@ -370,12 +370,12 @@ fn random_fault_runs_are_deterministic_and_conserve_requests() {
     assert_eq!(a.refilled_prefill_tokens, b.refilled_prefill_tokens);
 }
 
-/// sim-lint's reason to exist, exercised end to end: one seeded scenario
-/// (crash + restart + autoscaling + admission under a prefix-affinity
-/// router) run twice in the same process must serialize — metrics JSON and
-/// Chrome-trace timeline alike — to byte-identical strings with equal
-/// digests. Any HashMap iteration, wall-clock read, or float-compare
-/// nondeterminism anywhere in the stack shows up here.
+/// The determinism rules' reason to exist, exercised end to end: one
+/// seeded scenario (crash + restart + autoscaling + admission under a
+/// prefix-affinity router) run twice in the same process must serialize —
+/// metrics JSON and Chrome-trace timeline alike — to byte-identical
+/// strings with equal digests. Any HashMap iteration, wall-clock read, or
+/// float-compare nondeterminism anywhere in the stack shows up here.
 #[test]
 fn double_run_serialized_metrics_and_timeline_are_byte_identical() {
     use std::collections::hash_map::DefaultHasher;

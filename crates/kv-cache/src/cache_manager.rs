@@ -86,7 +86,7 @@ pub struct CacheManager {
     block_size: usize,
     // BTreeMaps, not HashMaps: eviction scans these containers, and a
     // deterministic iteration order makes LRU ties (and thus the whole
-    // simulation) reproducible run-to-run (sim-lint R2).
+    // simulation) reproducible run-to-run (rule R2, DESIGN.md §2b).
     by_hash: BTreeMap<u64, CachedBlock>,
     hash_of_block: BTreeMap<BlockId, u64>,
     stats: CacheStats,
@@ -319,13 +319,13 @@ impl CacheManager {
     ///
     /// Returns [`AllocError::OutOfBlocks`] on pool exhaustion.
     pub fn append_token(&mut self, table: &mut BlockTable) -> Result<(), AllocError> {
-        self.stats.miss_tokens += 1;
         if table.num_tokens() == table.blocks().len() * self.block_size {
             let block = self.allocate_with_eviction()?;
             table.push_block(block, 1);
         } else {
             table.extend_last_block(1);
         }
+        self.stats.miss_tokens += 1;
         Ok(())
     }
 
@@ -378,6 +378,10 @@ impl CacheManager {
         };
         self.by_hash.remove(&hash);
         self.hash_of_block.remove(&block);
+        #[expect(
+            clippy::expect_used,
+            reason = "the victim's refcount of 1 is the cache's own"
+        )]
         self.allocator
             .release(block)
             .expect("cache-owned reference exists");
@@ -494,6 +498,16 @@ mod tests {
             .insert_sequence(&(200..264).collect::<Vec<_>>())
             .unwrap();
         assert_eq!(c.blocks().len(), 4);
+    }
+
+    #[test]
+    fn failed_append_counts_no_token() {
+        let mut cache = CacheManager::new(1, 16);
+        let mut table = cache.insert_sequence(&(0..16).collect::<Vec<_>>()).unwrap();
+        let stats = cache.stats();
+        assert_eq!(cache.append_token(&mut table), Err(AllocError::OutOfBlocks));
+        assert_eq!(cache.stats(), stats);
+        assert_eq!(table.num_tokens(), 16);
     }
 
     #[test]

@@ -27,6 +27,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 mod allocator;
 mod block;

@@ -11,6 +11,9 @@
 //! tile-solver change shifted a tuned choice, forcing the new cache
 //! through review like any other baseline change.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+
 use pat_core::{generate_tile_cache, COMMITTED_TILE_CACHE_JSON};
 use std::path::Path;
 

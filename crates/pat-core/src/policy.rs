@@ -17,7 +17,7 @@
 //!   [`generate_tile_cache`]: a deterministic, exhaustive search of the
 //!   constraint-feasible `(m, n)` space per (hardware model, workload
 //!   signature bucket) with the kernel simulator as the oracle. The cache
-//!   is ratcheted like `calibration.json` and `simlint.baseline.json` —
+//!   is ratcheted like `calibration.json` —
 //!   regeneration must reproduce the committed bytes (`tune --check` in
 //!   CI), so a simulator change that shifts a tile choice shows up as a
 //!   reviewed diff, never as silent drift. Lookup misses (uncommitted

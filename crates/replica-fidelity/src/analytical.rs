@@ -21,7 +21,7 @@
 //! [`crate::ANALYTICAL_REL_ERROR_BOUND`] of exact on the validation
 //! scenarios; see DESIGN.md §2e for when this fidelity is sound.
 
-use crate::calibration::{key_for, shard_head, AttnCalibration, CalibrationTable};
+use crate::calibration::{key_for, AttnCalibration, CalibrationTable};
 use crate::{Fidelity, PrefixStore, ReplicaModel};
 use kv_cache::{AllocError, IngestReport, PrefixProbe, Token, DEFAULT_BLOCK_SIZE};
 use serving::{
@@ -107,7 +107,7 @@ impl AnalyticalReplica {
     /// committed calibration table when the (model, GPU) pair is fitted,
     /// otherwise from the first-principles roofline fallback.
     pub fn new(config: ServingConfig) -> Self {
-        let head = shard_head(&config.model, config.parallel.tp);
+        let head = config.model.shard_head(config.parallel.tp);
         let key = key_for(head, &config.gpu);
         let attn = CalibrationTable::committed()
             .lookup(&key)
@@ -229,6 +229,7 @@ impl ReplicaModel for AnalyticalReplica {
 mod tests {
     use super::*;
     use serving::ModelSpec;
+    use sim_core::cast::u64_to_usize;
     use workloads::PromptSpec;
 
     fn config() -> ServingConfig {
@@ -275,7 +276,7 @@ mod tests {
                 r.submit(request(
                     i,
                     i as f64 * 0.02,
-                    256 + (i as usize % 5) * 100,
+                    256 + u64_to_usize(i % 5) * 100,
                     16,
                 ));
             }

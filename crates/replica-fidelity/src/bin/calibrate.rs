@@ -10,6 +10,9 @@
 //! kernel-simulator or cost-model change shifted the fit, forcing the new
 //! coefficients through review like any other baseline change.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+
 use replica_fidelity::calibration::{generate_table, COMMITTED_JSON};
 use std::path::Path;
 

@@ -25,7 +25,7 @@
 //! seeded grid of synthetic decode batches timed on the exact simulator
 //! with the PAT backend, solved by least squares in a fixed order — and
 //! committed to `calibration.json` next to this crate. The committed table
-//! is **ratcheted** like `simlint.baseline.json`: regenerating it must
+//! is **ratcheted**: regenerating it must
 //! reproduce the committed bytes exactly (see the `calibrate` binary's
 //! `--check` mode and the drift test), so any change to the kernel
 //! simulator that shifts the fit shows up as an explicit, reviewed diff.
@@ -182,16 +182,6 @@ pub fn key_for(head: HeadConfig, gpu: &GpuSpec) -> String {
     )
 }
 
-/// The per-TP-rank head shard the serving engine runs attention with.
-pub fn shard_head(model: &ModelSpec, tp: usize) -> HeadConfig {
-    let full = model.head;
-    HeadConfig::new(
-        (full.num_heads() / tp.max(1)).max(1),
-        (full.num_kv_heads() / tp.max(1)).max(1),
-        full.head_dim(),
-    )
-}
-
 /// Solves the least-squares system `X·beta ≈ y` for `N` coefficients via
 /// normal equations and Gaussian elimination with partial pivoting, in a
 /// fixed operation order (deterministic across platforms).
@@ -259,7 +249,7 @@ const BW_FIT_MIN_KV_TOTAL: u64 = 4096;
 /// the PAT backend, by timing a fixed grid of synthetic decode batches on
 /// the exact kernel simulator. Deterministic: same inputs, same bytes out.
 pub fn fit_entry(model: &ModelSpec, gpu: &GpuSpec, tp: usize) -> AttnCalibration {
-    let head = shard_head(model, tp);
+    let head = model.shard_head(tp);
     let dtype_bytes = 2usize;
     let mut bw_rows: Vec<([f64; 3], f64)> = Vec::new();
     let mut chain_rows: Vec<([f64; 2], f64)> = Vec::new();
@@ -388,7 +378,7 @@ mod tests {
         let table = CalibrationTable::committed();
         assert!(!table.entries.is_empty(), "committed table must parse");
         let key = key_for(
-            shard_head(&ModelSpec::llama3_8b(), 1),
+            ModelSpec::llama3_8b().shard_head(1),
             &GpuSpec::a100_sxm4_80gb(),
         );
         let entry = table.lookup(&key);
@@ -420,7 +410,7 @@ mod tests {
 
     #[test]
     fn roofline_fallback_is_monotone_in_kv() {
-        let head = shard_head(&ModelSpec::llama3_8b(), 1);
+        let head = ModelSpec::llama3_8b().shard_head(1);
         let gpu = GpuSpec::a100_sxm4_80gb();
         let cal = AttnCalibration::roofline(head, &gpu, 2);
         assert!(cal.kernel_ns(8, 100_000, 12_500) > cal.kernel_ns(8, 10_000, 1_250));

@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct PrefixStore {
     /// Chain hash of a resident full block → last-used sequence number.
-    /// Only looked up, inserted into and removed from (sim-lint R2).
+    /// Only looked up, inserted into and removed from (rule R2).
     by_hash: FxHashMap<u64, u64>,
     /// LRU index: (last-used sequence number, chain hash).
     by_seq: BTreeSet<(u64, u64)>,
@@ -34,7 +34,6 @@ pub struct PrefixStore {
     seq: u64,
     hit_tokens: u64,
     miss_tokens: u64,
-    imported_tokens: u64,
 }
 
 impl PrefixStore {
@@ -53,7 +52,6 @@ impl PrefixStore {
             seq: 0,
             hit_tokens: 0,
             miss_tokens: 0,
-            imported_tokens: 0,
         }
     }
 
@@ -154,11 +152,9 @@ impl PrefixStore {
             }
             covered_blocks += 1;
         }
-        let imported_tokens = imported_blocks * self.block_size;
-        self.imported_tokens += imported_tokens as u64;
         IngestReport {
             covered_tokens: covered_blocks * self.block_size,
-            imported_tokens,
+            imported_tokens: imported_blocks * self.block_size,
             imported_blocks,
         }
     }

@@ -51,6 +51,10 @@ pub fn latency_breakdown(
                 .collect();
             let decode = DecodeBatch::new(model.head, tables, 2);
             let plan = backend.plan(&decode, gpu);
+            #[expect(
+                clippy::expect_used,
+                reason = "a backend's own plan for the batch is valid"
+            )]
             let report = simulate_plan(&decode, &plan, gpu).expect("valid plan");
             let attention_ns = report.total_ns * model.num_layers as f64;
             let linear_ns = cost.decode_linear_ns(batch, model.num_layers);

@@ -27,6 +27,7 @@ use attn_kernel::{StepSimCache, StepSimReport, StepSimStats};
 use attn_math::HeadConfig;
 use kv_cache::{AllocError, BlockTable, CacheManager, Token, DEFAULT_BLOCK_SIZE};
 use serde::Serialize;
+use sim_core::cast::u64_to_usize;
 use sim_gpu::{gpu_model_from_env, GpuSpec};
 use workloads::Request;
 
@@ -191,15 +192,9 @@ pub struct ServingEngine {
 impl ServingEngine {
     /// Creates an idle engine with an empty KV cache.
     pub fn new(config: ServingConfig) -> Self {
-        let tp = config.parallel.tp;
-        // Attention heads shard across TP ranks; each rank's kernel handles an
-        // equal slice, so one rank's latency is the attention latency.
-        let full_head = config.model.head;
-        let shard_head = HeadConfig::new(
-            (full_head.num_heads() / tp).max(1),
-            (full_head.num_kv_heads() / tp).max(1),
-            full_head.head_dim(),
-        );
+        // Each TP rank's kernel handles an equal slice of the heads, so one
+        // rank's latency is the attention latency.
+        let shard_head = config.model.shard_head(config.parallel.tp);
         let cache = CacheManager::new(config.kv_capacity_blocks, DEFAULT_BLOCK_SIZE);
         ServingEngine {
             core: ReplicaCore::new(config),
@@ -295,7 +290,7 @@ impl KvPlacement for CacheManager {
         let hits_before = self.stats().hit_tokens;
         let table = self.insert_sequence(prompt).ok()?;
         let hit = self.stats().hit_tokens - hits_before;
-        Some((table, hit as usize))
+        Some((table, u64_to_usize(hit)))
     }
 
     fn append(&mut self, table: &mut BlockTable) -> bool {
@@ -572,7 +567,7 @@ mod tests {
         cfg.kv_capacity_blocks = 150;
         let mut pat = LazyPat::new();
         let result = simulate_serving(&cfg, &mut pat, &requests);
-        assert_eq!(result.dropped as usize, requests.len());
+        assert_eq!(u64_to_usize(result.dropped), requests.len());
         assert_eq!(result.unfinished, 0);
         assert_eq!(result.metrics.completed, 0);
     }

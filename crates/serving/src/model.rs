@@ -136,6 +136,21 @@ impl ModelSpec {
             };
         per_layer * self.num_layers as f64 + (self.vocab * self.hidden) as f64
     }
+
+    /// The attention heads one of `tp` tensor-parallel ranks runs: heads
+    /// shard evenly across the ranks, and each rank keeps at least one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tp` is zero.
+    pub fn shard_head(&self, tp: usize) -> HeadConfig {
+        assert!(tp > 0, "tp must be positive");
+        HeadConfig::new(
+            (self.head.num_heads() / tp).max(1),
+            (self.head.num_kv_heads() / tp).max(1),
+            self.head.head_dim(),
+        )
+    }
 }
 
 #[cfg(test)]

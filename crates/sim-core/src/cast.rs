@@ -3,7 +3,7 @@
 //! A bare `as` cast between integer widths truncates silently, and
 //! `f64 as u64` saturates-with-NaN-to-zero semantics that few readers can
 //! recite. Inside the simulation crates those silent edges are exactly
-//! where determinism bugs hide, so sim-lint's R8 requires narrowing and
+//! where determinism bugs hide, so R8 (DESIGN.md §2b) requires narrowing and
 //! float→int casts to go through this module: every helper either proves
 //! the conversion lossless in debug builds (`debug_assert!`) or documents
 //! its saturation contract in its name.

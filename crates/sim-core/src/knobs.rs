@@ -8,8 +8,8 @@
 //! * every knob is **declared once** in [`KNOBS`] — name, type, default,
 //!   parser (the [`KnobKind`] validation), scope, and a one-line doc;
 //! * every knob is **read once**, through [`raw`] — the only sanctioned
-//!   `std::env::var` call site in the workspace (sim-lint rule **R7** bans
-//!   raw reads everywhere else);
+//!   `std::env::var` call site in the workspace (rule **R7**, DESIGN.md
+//!   §2b, bans raw reads everywhere else);
 //! * every run can **record its configuration**: [`snapshot`] captures the
 //!   effective value of every knob, and [`Snapshot::artifact_entries`]
 //!   yields the output-affecting subset that bench JSON artifacts and
@@ -146,7 +146,11 @@ pub fn set_override(name: &str, value: Option<&str>) {
 
 /// The raw string value of a registered knob: the test override if set,
 /// else the process environment. `None` when unset. This is the only
-/// sanctioned `std::env::var` call site in the workspace (R7).
+/// sanctioned `std::env::var` call site in the workspace.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the registry's one environment read"
+)]
 pub fn raw(name: &str) -> Option<String> {
     let _ = def(name);
     {
@@ -285,8 +289,8 @@ pub fn snapshot() -> Snapshot {
 }
 
 /// Renders the registry as the markdown table behind the README
-/// "Performance knobs" section (`sim-lint --knobs` regenerates it; CI
-/// diffs it against the README so docs cannot drift from code).
+/// "Performance knobs" section (a unit test diffs it against the README,
+/// so docs cannot drift from code).
 pub fn markdown_table() -> String {
     let mut out = String::from(
         "| Knob | Type | Default | Scope | Effect |\n\
@@ -420,6 +424,17 @@ mod tests {
             table.lines().count(),
             KNOBS.len() + 2,
             "header + one row per knob"
+        );
+        let readme = include_str!("../../../README.md");
+        let (_, rest) = readme
+            .split_once("<!-- knobs:begin -->")
+            .expect("README has the knobs:begin marker");
+        let (embedded, _) = rest
+            .split_once("<!-- knobs:end -->")
+            .expect("README has the knobs:end marker");
+        assert!(
+            embedded.trim() == table.trim(),
+            "the README knob table is out of date; paste this between its knob markers:\n{table}"
         );
     }
 

@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
 pub mod cast;
 mod event;

@@ -3,7 +3,7 @@
 //! Replicas in the `controller` fleet loop are independent between fleet
 //! event barriers, and bench scenario grids are embarrassingly parallel —
 //! but raw `std::thread` use inside simulation crates is a determinism hazard
-//! (sim-lint rule R6): ad-hoc threading invites order-dependent merges.
+//! (rule R6, DESIGN.md §2b): ad-hoc threading invites order-dependent merges.
 //! This module is the single sanctioned escape hatch. Its contract:
 //!
 //! * **Ordered merge.** [`ordered_map`] assigns contiguous input chunks to
@@ -80,6 +80,10 @@ where
     }
     let chunk = items.len().div_ceil(threads).max(1);
     let mut out = Vec::with_capacity(items.len());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned ordered scoped-thread helper"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk)
@@ -125,6 +129,10 @@ where
         return;
     }
     let chunk = items.len().div_ceil(threads).max(1);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned ordered scoped-thread helper"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks_mut(chunk)

@@ -607,14 +607,9 @@ mod tests {
     #[test]
     fn many_ctas_saturate_the_bus() {
         let e = engine();
-        let n = 1024;
+        let n: u64 = 1024;
         let bytes = 1.0e6;
-        let ctas: Vec<CtaWork> = (0..n)
-            .map(|i| CtaWork {
-                tag: i as u64,
-                ..work(bytes)
-            })
-            .collect();
+        let ctas: Vec<CtaWork> = (0..n).map(|tag| CtaWork { tag, ..work(bytes) }).collect();
         let r = e
             .run(vec![StreamSpec {
                 kernels: vec![KernelSpec {

@@ -12,6 +12,7 @@
 //!   timing fast path: a re-access hits L2 with probability
 //!   `min(1, capacity / working-set footprint)`.
 
+use sim_core::cast::f64_to_u64;
 use std::collections::BTreeMap;
 
 /// Bytes served by each memory level for an access sequence.
@@ -86,7 +87,7 @@ pub struct L2Simulator {
     /// block key -> (size, last-use tick). A BTreeMap so the eviction scan
     /// iterates in key order: LRU ties (impossible today — ticks are
     /// unique — but structurally guaranteed) resolve deterministically
-    /// (sim-lint R2).
+    /// (rule R2).
     resident: BTreeMap<u64, (u64, u64)>,
     tick: u64,
     totals: TrafficSplit,
@@ -108,7 +109,7 @@ impl L2Simulator {
     /// from. Blocks larger than the cache bypass it entirely.
     pub fn access(&mut self, key: u64, bytes: f64) -> TrafficSplit {
         self.tick += 1;
-        let size = bytes.max(0.0) as u64;
+        let size = f64_to_u64(bytes);
         let split = if let Some(entry) = self.resident.get_mut(&key) {
             entry.1 = self.tick;
             TrafficSplit {

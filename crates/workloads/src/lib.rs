@@ -26,6 +26,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod arrival;
 mod io;

@@ -96,6 +96,10 @@ impl BatchSpec {
 
     /// Batch size (number of leaves).
     pub fn batch_size(&self) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor rejects an empty level list"
+        )]
         *self.b.last().expect("non-empty")
     }
 

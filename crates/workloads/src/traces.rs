@@ -249,6 +249,7 @@ pub fn measure_prefix_ratio(requests: &[Request]) -> f64 {
     let mut cache = kv_cache::CacheManager::new(blocks_needed, 16);
     let mut tables = Vec::new();
     for r in requests {
+        #[expect(clippy::expect_used, reason = "the pool is sized to hold every prompt")]
         tables.push(
             cache
                 .insert_sequence(&r.prompt.to_tokens())

@@ -129,6 +129,10 @@ fn main() {
         },
     );
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reports host wall-clock beside the simulated day"
+    )]
     let started = std::time::Instant::now();
     let result = FleetController::with_lazy_pat(config, Box::new(LeastOutstanding::new()), faults)
         .run(&day.requests);

@@ -7,6 +7,8 @@
 //! patsim traces
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use pat::prelude::*;
 use serving::{ServingAttention, Stateless};
 use std::collections::HashMap;

@@ -48,6 +48,8 @@
 //! assert!(pat_time.traffic.kv_loaded_bytes() < fa_time.traffic.kv_loaded_bytes());
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub use attn_kernel;
 pub use attn_math;
 pub use baselines;
