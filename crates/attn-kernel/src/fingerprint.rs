@@ -8,8 +8,9 @@
 //! stable for `block_size` consecutive steps per request. Two flavours:
 //!
 //! * [`batch_structure_fingerprint`] hashes **raw** block ids. This is the
-//!   lazy-update key: cached packs embed real [`BlockId`]s, so a hit must
-//!   mean the physical blocks are unchanged.
+//!   lazy-update key: cached packs embed real
+//!   [`BlockId`](kv_cache::BlockId)s, so a hit must mean the physical
+//!   blocks are unchanged.
 //! * [`batch_timing_fingerprint`] hashes **canonicalized** block ids
 //!   (renamed by first occurrence) plus the GPU spec identity. Simulated
 //!   timing is invariant under any block-id renaming that preserves the
@@ -19,8 +20,7 @@
 //!   preemption with freshly allocated blocks).
 
 use crate::batch::DecodeBatch;
-use crate::fxhash::{FxHashMap, FxHasher};
-use kv_cache::BlockId;
+use crate::fxhash::FxHasher;
 use sim_gpu::GpuSpec;
 use std::hash::{Hash, Hasher};
 
@@ -103,21 +103,23 @@ pub fn batch_timing_fingerprint(batch: &DecodeBatch, spec: &GpuSpec) -> u64 {
     let mut h = FxHasher::default();
     hash_common(batch, &mut h);
     spec.name.hash(&mut h);
-    // Dense renaming by first occurrence; lookups only (no iteration), so
-    // the hash map cannot leak nondeterministic order into the fingerprint.
-    let mut canon: FxHashMap<BlockId, u32> = FxHashMap::default();
-    let mut next: u32 = 0;
-    for t in batch.tables() {
-        for &b in t.blocks() {
-            let id = *canon.entry(b).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            });
-            id.hash(&mut h);
+    // Dense renaming by first occurrence in the thread's block scratch: a
+    // block's slot holds its canonical id + 1, so an untouched slot (0)
+    // means "first occurrence".
+    crate::scratch::with_block_scratch(|canon| {
+        canon.clear();
+        let mut next: u32 = 0;
+        for t in batch.tables() {
+            for &b in t.blocks() {
+                let slot = canon.get_or_insert(b.0, next + 1);
+                if slot > next {
+                    next = slot;
+                }
+                (slot - 1).hash(&mut h);
+            }
+            TABLE_SEP.hash(&mut h);
         }
-        TABLE_SEP.hash(&mut h);
-    }
+    });
     h.finish()
 }
 
@@ -143,6 +145,16 @@ mod tests {
         assert_eq!(
             batch_timing_fingerprint(&a, &spec),
             batch_timing_fingerprint(&b, &spec)
+        );
+        // Ids past the block scratch's dense table rename the same way.
+        let huge = batch(vec![BlockTable::new(
+            vec![BlockId(u32::MAX), BlockId(1 << 30)],
+            32,
+            16,
+        )]);
+        assert_eq!(
+            batch_timing_fingerprint(&a, &spec),
+            batch_timing_fingerprint(&huge, &spec)
         );
     }
 

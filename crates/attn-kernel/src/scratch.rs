@@ -1,9 +1,11 @@
-//! Thread-local per-block scratch for the per-step traffic analysis.
+//! Thread-local per-block scratch for the per-step block analyses.
 //!
-//! `analyze_traffic` and `DecodeBatch::distinct_kv_bytes` both need a
-//! map keyed by [`BlockId`] that lives for exactly one call, sized by the
-//! batch's block-table footprint (thousands of entries on serving-scale
-//! batches, rebuilt on every step-cache miss). Hashing every block id per
+//! Three callers need a map keyed by [`BlockId`] that lives for exactly one
+//! call, sized by the batch's block-table footprint (thousands of entries on
+//! serving-scale batches): `analyze_traffic` and
+//! `DecodeBatch::distinct_kv_bytes` on every step-cache miss, and
+//! `batch_timing_fingerprint`, which renames block ids on every priced
+//! decode step, hit or miss. Hashing every block id per
 //! step dominated the simulated-step profile, so this scratch indexes a
 //! dense slot table by the raw id with an *epoch tag*: `clear` is a counter
 //! bump, lookups are a bounds check plus a compare, and the allocation is
@@ -86,6 +88,21 @@ impl BlockScratch {
         }
     }
 
+    /// The slot's value this epoch, storing `v` first when the slot is
+    /// untouched.
+    pub fn get_or_insert(&mut self, id: u32, v: u32) -> u32 {
+        if id < DENSE_LIMIT {
+            let epoch = self.epoch;
+            let slot = self.dense_slot(id);
+            if slot.0 != epoch {
+                *slot = (epoch, v);
+            }
+            slot.1
+        } else {
+            *self.sparse.entry(id).or_insert(v)
+        }
+    }
+
     /// Raises the slot for `id` to at least `v`, returning the increase
     /// (`v` for a fresh id, `v - old` for a raise, 0 otherwise). Summing the
     /// returned increases yields the sum of per-id maxima without iterating
@@ -150,6 +167,18 @@ mod tests {
         assert_eq!(s.raise(5, 12), 0);
         assert_eq!(s.raise(5, 20), 4);
         assert_eq!(s.get(5), 20);
+    }
+
+    #[test]
+    fn get_or_insert_keeps_the_first_value() {
+        let mut s = BlockScratch::new();
+        s.clear();
+        assert_eq!(s.get_or_insert(4, 1), 1);
+        assert_eq!(s.get_or_insert(4, 2), 1);
+        assert_eq!(s.get_or_insert(u32::MAX, 3), 3);
+        assert_eq!(s.get_or_insert(u32::MAX, 5), 3);
+        s.clear();
+        assert_eq!(s.get_or_insert(4, 6), 6);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! blocks per query unless it is prefix-aware.
 
 use crate::{AllocError, BlockAllocator, BlockId, BlockTable, PrefixProbe};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Token id type used throughout the reproduction.
 pub type Token = u32;
@@ -84,11 +84,18 @@ struct CachedBlock {
 pub struct CacheManager {
     allocator: BlockAllocator,
     block_size: usize,
-    // BTreeMaps, not HashMaps: eviction scans these containers, and a
-    // deterministic iteration order makes LRU ties (and thus the whole
-    // simulation) reproducible run-to-run (rule R2, DESIGN.md §2b).
+    // Ordered containers, not HashMaps: `resident_hashes` enumerates
+    // `by_hash`, and the eviction order must not depend on a hasher (rule
+    // R2, DESIGN.md §2b).
     by_hash: BTreeMap<u64, CachedBlock>,
-    hash_of_block: BTreeMap<BlockId, u64>,
+    /// `(last_use, hash)` of exactly the cached blocks whose refcount is 1
+    /// (held by the cache alone). The first entry is the LRU victim, ties to
+    /// the smaller hash; the length is the evictable count.
+    evictable: BTreeSet<(u64, u64)>,
+    /// The chain hash each block id was last cached under, indexed by id
+    /// and grown with the ids cached. A slot goes stale when its block
+    /// leaves the cache; `by_hash` confirms it before use.
+    hash_of: Vec<u64>,
     stats: CacheStats,
     clock: u64,
 }
@@ -106,7 +113,8 @@ impl CacheManager {
             allocator: BlockAllocator::new(capacity_blocks),
             block_size,
             by_hash: BTreeMap::new(),
-            hash_of_block: BTreeMap::new(),
+            evictable: BTreeSet::new(),
+            hash_of: Vec::new(),
             stats: CacheStats::default(),
             clock: 0,
         }
@@ -129,10 +137,7 @@ impl CacheManager {
 
     /// Cached blocks held only by the cache itself (evictable on demand).
     pub fn evictable_blocks(&self) -> usize {
-        self.by_hash
-            .values()
-            .filter(|c| self.allocator.refcount(c.block) == 1)
-            .count()
+        self.evictable.len()
     }
 
     /// Blocks obtainable right now: free plus evictable.
@@ -198,19 +203,17 @@ impl CacheManager {
         for &h in PrefixProbe::new(tokens, self.block_size).all_hashes() {
             self.clock += 1;
             if let Some(cached) = self.by_hash.get_mut(&h) {
+                if self.evictable.remove(&(cached.last_use, h)) {
+                    self.evictable.insert((self.clock, h));
+                }
                 cached.last_use = self.clock;
             } else {
                 let Ok(block) = self.allocate_with_eviction() else {
                     break;
                 };
-                self.by_hash.insert(
-                    h,
-                    CachedBlock {
-                        block,
-                        last_use: self.clock,
-                    },
-                );
-                self.hash_of_block.insert(block, h);
+                self.cache_block(h, block);
+                // Held by the cache alone.
+                self.evictable.insert((self.clock, h));
                 self.stats.imported_tokens += self.block_size as u64;
                 report.imported_tokens += self.block_size;
                 report.imported_blocks += 1;
@@ -251,7 +254,7 @@ impl CacheManager {
                 let _ = self.free_sequence(&table);
                 for hash in created {
                     if let Some(cached) = self.by_hash.remove(&hash) {
-                        self.hash_of_block.remove(&cached.block);
+                        self.evictable.remove(&(cached.last_use, hash));
                         let _ = self.allocator.release(cached.block);
                     }
                 }
@@ -279,6 +282,8 @@ impl CacheManager {
             if let Some(h) = probe.block_hash(b) {
                 self.clock += 1;
                 if let Some(cached) = self.by_hash.get_mut(&h) {
+                    // The request's reference makes the block unevictable.
+                    self.evictable.remove(&(cached.last_use, h));
                     cached.last_use = self.clock;
                     let block = cached.block;
                     self.allocator.retain(block)?;
@@ -287,14 +292,7 @@ impl CacheManager {
                     self.stats.hit_tokens += take as u64;
                 } else {
                     let block = self.allocate_with_eviction()?;
-                    self.by_hash.insert(
-                        h,
-                        CachedBlock {
-                            block,
-                            last_use: self.clock,
-                        },
-                    );
-                    self.hash_of_block.insert(block, h);
+                    self.cache_block(h, block);
                     created.push(h);
                     // The cache holds one reference; the request another.
                     self.allocator.retain(block)?;
@@ -338,14 +336,35 @@ impl CacheManager {
     pub fn free_sequence(&mut self, table: &BlockTable) -> Result<(), AllocError> {
         for &block in table.blocks() {
             self.allocator.release(block)?;
-            // If only the cache's own reference remains, the block stays
-            // resident for future reuse until evicted.
-            if self.allocator.refcount(block) == 0 {
-                // Block was not cache-owned (partial/decode block): gone.
-                self.hash_of_block.remove(&block);
+            // A block only the cache still references stays resident for
+            // future reuse until evicted. Partial and decode blocks are
+            // never shared, so they drop to 0 and are gone.
+            if self.allocator.refcount(block) == 1 {
+                let Some(&h) = self.hash_of.get(block.0 as usize) else {
+                    continue;
+                };
+                if let Some(cached) = self.by_hash.get(&h).filter(|c| c.block == block) {
+                    self.evictable.insert((cached.last_use, h));
+                }
             }
         }
         Ok(())
+    }
+
+    /// Registers `block` as the cache entry for chain hash `h`, stamped now.
+    fn cache_block(&mut self, h: u64, block: BlockId) {
+        self.by_hash.insert(
+            h,
+            CachedBlock {
+                block,
+                last_use: self.clock,
+            },
+        );
+        let slot = block.0 as usize;
+        if slot >= self.hash_of.len() {
+            self.hash_of.resize(slot + 1, 0);
+        }
+        self.hash_of[slot] = h;
     }
 
     fn allocate_with_eviction(&mut self) -> Result<BlockId, AllocError> {
@@ -353,7 +372,7 @@ impl CacheManager {
             match self.allocator.allocate() {
                 Ok(block) => return Ok(block),
                 Err(AllocError::OutOfBlocks) => {
-                    if !self.evict_one() {
+                    if !self.evict_one()? {
                         return Err(AllocError::OutOfBlocks);
                     }
                 }
@@ -363,36 +382,28 @@ impl CacheManager {
     }
 
     /// Evicts the least-recently-used cached block that only the cache still
-    /// references. Returns false if none is evictable. Recency ties (never
-    /// produced by the `clock` today, but cheap to guarantee against) break
-    /// toward the smallest chain hash, deterministically.
-    fn evict_one(&mut self) -> bool {
-        let victim = self
-            .by_hash
-            .iter()
-            .filter(|(_, c)| self.allocator.refcount(c.block) == 1)
-            .min_by_key(|(_, c)| c.last_use)
-            .map(|(&h, c)| (h, c.block));
-        let Some((hash, block)) = victim else {
-            return false;
+    /// references: the first `evictable` entry. Returns false if none is
+    /// evictable. Recency ties (never produced by the `clock` today, but
+    /// cheap to guarantee against) break toward the smallest chain hash,
+    /// deterministically.
+    fn evict_one(&mut self) -> Result<bool, AllocError> {
+        let Some((_, hash)) = self.evictable.pop_first() else {
+            return Ok(false);
         };
-        self.by_hash.remove(&hash);
-        self.hash_of_block.remove(&block);
-        #[expect(
-            clippy::expect_used,
-            reason = "the victim's refcount of 1 is the cache's own"
-        )]
-        self.allocator
-            .release(block)
-            .expect("cache-owned reference exists");
-        self.stats.evicted_blocks += 1;
-        true
+        // Every indexed hash has an entry: the two change together.
+        if let Some(cached) = self.by_hash.remove(&hash) {
+            self.allocator.release(cached.block)?;
+            self.stats.evicted_blocks += 1;
+        }
+        Ok(true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn identical_prefixes_share_blocks() {
@@ -707,5 +718,224 @@ mod tests {
         }
         // 9 of 10 requests hit the 64-token shared prefix: 576 of 1280 tokens.
         assert!((cache.stats().hit_rate() - 0.45).abs() < 1e-9);
+    }
+
+    /// The cache before its eviction index, as an oracle: a free list
+    /// pre-filled with `0..capacity` and an LRU scan over every entry.
+    struct ScanModel {
+        block_size: usize,
+        refcounts: Vec<u32>,
+        free: VecDeque<BlockId>,
+        /// Chain hash -> (block, last use).
+        by_hash: BTreeMap<u64, (BlockId, u64)>,
+        clock: u64,
+        evicted: u64,
+    }
+
+    impl ScanModel {
+        fn new(capacity: u32, block_size: usize) -> Self {
+            ScanModel {
+                block_size,
+                refcounts: vec![0; capacity as usize],
+                free: (0..capacity).map(BlockId).collect(),
+                by_hash: BTreeMap::new(),
+                clock: 0,
+                evicted: 0,
+            }
+        }
+
+        /// Oldest entry held by the cache alone, ties to the smaller hash.
+        fn victim(&self) -> Option<u64> {
+            self.by_hash
+                .iter()
+                .filter(|(_, (b, _))| self.refcounts[b.0 as usize] == 1)
+                .min_by_key(|(_, &(_, last_use))| last_use)
+                .map(|(&h, _)| h)
+        }
+
+        fn release(&mut self, block: BlockId) {
+            self.refcounts[block.0 as usize] -= 1;
+            if self.refcounts[block.0 as usize] == 0 {
+                self.free.push_back(block);
+            }
+        }
+
+        fn allocate(&mut self) -> Option<BlockId> {
+            loop {
+                if let Some(block) = self.free.pop_front() {
+                    self.refcounts[block.0 as usize] = 1;
+                    return Some(block);
+                }
+                let (block, _) = self.by_hash.remove(&self.victim()?)?;
+                self.release(block);
+                self.evicted += 1;
+            }
+        }
+
+        fn insert(&mut self, tokens: &[Token]) -> Option<Vec<BlockId>> {
+            let mut probe = PrefixProbe::new(tokens, self.block_size);
+            let (mut blocks, mut created) = (Vec::new(), Vec::new());
+            for b in 0..tokens.len().div_ceil(self.block_size) {
+                let block = match probe.block_hash(b) {
+                    Some(h) => {
+                        self.clock += 1;
+                        let block = match self.by_hash.get_mut(&h) {
+                            Some(entry) => {
+                                entry.1 = self.clock;
+                                entry.0
+                            }
+                            None => {
+                                let Some(block) = self.allocate() else { break };
+                                self.by_hash.insert(h, (block, self.clock));
+                                created.push(h);
+                                block
+                            }
+                        };
+                        self.refcounts[block.0 as usize] += 1;
+                        block
+                    }
+                    None => {
+                        let Some(block) = self.allocate() else { break };
+                        block
+                    }
+                };
+                blocks.push(block);
+            }
+            if blocks.len() == tokens.len().div_ceil(self.block_size) {
+                return Some(blocks);
+            }
+            for block in blocks {
+                self.release(block);
+            }
+            for h in created {
+                let (block, _) = self.by_hash.remove(&h)?;
+                self.release(block);
+            }
+            None
+        }
+
+        fn ingest(&mut self, tokens: &[Token]) -> usize {
+            let mut covered = 0;
+            for &h in PrefixProbe::new(tokens, self.block_size).all_hashes() {
+                self.clock += 1;
+                if let Some(entry) = self.by_hash.get_mut(&h) {
+                    entry.1 = self.clock;
+                } else {
+                    let Some(block) = self.allocate() else { break };
+                    self.by_hash.insert(h, (block, self.clock));
+                }
+                covered += self.block_size;
+            }
+            covered
+        }
+    }
+
+    /// The index-backed cache agrees with the scan model after one op.
+    fn agrees(cache: &CacheManager, model: &ScanModel) -> Result<(), TestCaseError> {
+        let held_by_cache_alone = |c: &&CachedBlock| cache.allocator.refcount(c.block) == 1;
+        let brute = cache.by_hash.values().filter(held_by_cache_alone).count();
+        prop_assert_eq!(cache.evictable_blocks(), brute);
+        let scan = cache
+            .by_hash
+            .iter()
+            .filter(|(_, c)| held_by_cache_alone(c))
+            .min_by_key(|(_, c)| c.last_use)
+            .map(|(&h, _)| h);
+        prop_assert_eq!(cache.evictable.first().map(|&(_, h)| h), scan);
+        prop_assert_eq!(scan, model.victim());
+        let entries: Vec<(u64, BlockId, u64)> = cache
+            .by_hash
+            .iter()
+            .map(|(&h, c)| (h, c.block, c.last_use))
+            .collect();
+        let model_entries: Vec<(u64, BlockId, u64)> = model
+            .by_hash
+            .iter()
+            .map(|(&h, &(b, t))| (h, b, t))
+            .collect();
+        prop_assert_eq!(entries, model_entries);
+        for (id, &rc) in model.refcounts.iter().enumerate() {
+            let block = BlockId(sim_core::cast::usize_to_u32(id));
+            prop_assert_eq!(cache.allocator.refcount(block), rc, "block {}", id);
+        }
+        // The ids the pool would hand out next, in order.
+        let mut pool = cache.allocator.clone();
+        let next: Vec<BlockId> = std::iter::from_fn(|| pool.allocate().ok()).collect();
+        prop_assert_eq!(next, model.free.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(cache.stats().evicted_blocks, model.evicted);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random admission, growth, departure and import on a small pool:
+        /// the eviction index, the evictable count and the id order match
+        /// the scan model after every op, and the pool drains leak-free.
+        #[test]
+        fn eviction_index_matches_the_scan_model(
+            capacity in 8u32..33,
+            prefix_lens in prop::collection::vec(4usize..14, 3..5),
+            ops in prop::collection::vec((0u8..4, 0usize..64, 0usize..10, 0u32..6), 1..160),
+        ) {
+            const BLOCK: usize = 4;
+            let mut cache = CacheManager::new(capacity as usize, BLOCK);
+            let mut model = ScanModel::new(capacity, BLOCK);
+            // (table, the model's block list, tokens)
+            let mut live: Vec<(BlockTable, Vec<BlockId>, usize)> = Vec::new();
+            for (kind, pick, suffix_len, suffix) in ops {
+                let prefix = pick % prefix_lens.len();
+                let base = 1000 * u32::try_from(prefix).unwrap();
+                let mut tokens: Vec<Token> =
+                    (base..base + u32::try_from(prefix_lens[prefix]).unwrap()).collect();
+                tokens.extend((0..suffix_len).map(|i| 100 + 16 * suffix + u32::try_from(i).unwrap()));
+                match kind {
+                    0 => {
+                        let got = cache.insert_sequence(&tokens).ok();
+                        let want = model.insert(&tokens);
+                        prop_assert_eq!(got.as_ref().map(|t| t.blocks().to_vec()), want.clone());
+                        if let (Some(table), Some(blocks)) = (got, want) {
+                            live.push((table, blocks, tokens.len()));
+                        }
+                    }
+                    1 if !live.is_empty() => {
+                        let i = pick % live.len();
+                        let (table, blocks, len) = &mut live[i];
+                        let grows = *len == blocks.len() * BLOCK;
+                        let want = if grows { model.allocate() } else { blocks.last().copied() };
+                        let ok = cache.append_token(table).is_ok();
+                        prop_assert_eq!(ok, want.is_some());
+                        if let (true, Some(block)) = (grows, want) {
+                            blocks.push(block);
+                        }
+                        if ok {
+                            *len += 1;
+                        }
+                        prop_assert_eq!(table.blocks(), &blocks[..]);
+                    }
+                    2 if !live.is_empty() => {
+                        let (table, blocks, _) = live.swap_remove(pick % live.len());
+                        cache.free_sequence(&table).unwrap();
+                        for block in blocks {
+                            model.release(block);
+                        }
+                    }
+                    3 => {
+                        let got = cache.ingest_prefix(&tokens).covered_tokens;
+                        prop_assert_eq!(got, model.ingest(&tokens));
+                    }
+                    _ => {}
+                }
+                agrees(&cache, &model)?;
+            }
+            for (table, blocks, _) in live {
+                cache.free_sequence(&table).unwrap();
+                for block in blocks {
+                    model.release(block);
+                }
+                agrees(&cache, &model)?;
+            }
+            prop_assert_eq!(cache.available_blocks(), capacity as usize);
+        }
     }
 }

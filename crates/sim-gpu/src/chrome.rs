@@ -10,7 +10,9 @@ use crate::trace::ExecutionTrace;
 /// Serializes the trace into Trace Event Format JSON (object form).
 ///
 /// Timestamps are microseconds (the format's native unit); SMs map to
-/// thread ids under process 0, kernels to process 1 keyed by stream. The
+/// thread ids under process 0, kernels to process 1 keyed by stream. A CTA
+/// event is named by its kernel's label (empty when the trace lacks that
+/// kernel's span). The
 /// events sit under `traceEvents`, and `otherData.knobs` records the
 /// output-scoped knob snapshot (`sim_core::knobs`) so every exported
 /// trace carries the configuration that produced it.
@@ -32,7 +34,7 @@ pub fn chrome_trace_json(trace: &ExecutionTrace) -> String {
                 "{{\"name\":{},\"cat\":\"cta\",\"ph\":\"X\",\"ts\":{:.3},",
                 "\"dur\":{:.3},\"pid\":0,\"tid\":{},\"args\":{{\"stream\":{},\"tag\":{}}}}}"
             ),
-            json_string(&cta.kernel),
+            json_string(trace.kernel_of(cta).map_or("", |k| &k.label)),
             cta.start_ns / 1000.0,
             (cta.end_ns - cta.start_ns) / 1000.0,
             cta.sm,
@@ -86,7 +88,7 @@ mod tests {
         ExecutionTrace {
             ctas: vec![CtaSpan {
                 stream: 1,
-                kernel: "attn(m=16,n=64)".into(),
+                kernel_index: 0,
                 tag: 7,
                 sm: 3,
                 start_ns: 1000.0,
@@ -109,7 +111,11 @@ mod tests {
         assert!(json.contains("\"tid\":3"));
         assert!(json.contains("\"dur\":4.000"));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("attn(m=16,n=64)"));
+        // The CTA event carries its kernel's label.
+        assert!(
+            json.contains("{\"name\":\"attn(m=16,n=64)\",\"cat\":\"cta\""),
+            "{json}"
+        );
     }
 
     #[test]

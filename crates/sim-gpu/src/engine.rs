@@ -243,7 +243,7 @@ impl Engine {
         // times; reallocating these per event dominated the event cost).
         let mut order: Vec<usize> = Vec::new();
         let mut finished_kernels: Vec<usize> = Vec::new();
-        let mut loader_scratch: Vec<usize> = Vec::new();
+        let mut cap_scratch: Vec<f64> = Vec::new();
 
         let mut now = SimTime::ZERO;
         loop {
@@ -299,17 +299,24 @@ impl Engine {
                     let need_smem = active[idx].need_smem;
                     let need_regs = active[idx].need_regs;
                     let need_threads = active[idx].need_threads;
+                    // First fit, resumed at the SM that took this kernel's
+                    // previous CTA: the SMs before it did not fit, and
+                    // dispatch only takes resources away.
+                    let mut first_sm = 0;
                     while let Some(&work) = active[idx].pending.front() {
                         if sms_with_free_slots == 0 {
                             break;
                         }
-                        let slot = sms.iter().position(|sm| {
+                        let slot = sms[first_sm..].iter().position(|sm| {
                             sm.free_smem >= need_smem
                                 && sm.free_regs >= need_regs
                                 && sm.free_threads >= need_threads
                                 && sm.free_slots >= 1
                         });
-                        let Some(sm) = slot else { break };
+                        let Some(sm) = slot.map(|p| first_sm + p) else {
+                            break;
+                        };
+                        first_sm = sm;
                         sms[sm].free_smem -= need_smem;
                         sms[sm].free_regs -= need_regs;
                         sms[sm].free_threads -= need_threads;
@@ -367,7 +374,7 @@ impl Engine {
             Self::waterfill(
                 &mut running,
                 self.spec.global_bandwidth * self.spec.dram_efficiency,
-                &mut loader_scratch,
+                &mut cap_scratch,
             );
 
             // 4. Find the next event. Fractional f64 waits (bytes / rate)
@@ -459,8 +466,8 @@ impl Engine {
                         sms_with_free_slots += 1;
                     }
                     trace.ctas.push(CtaSpan {
-                        stream: active[cta.active_kernel].stream,
-                        kernel: active[cta.active_kernel].label.clone(),
+                        stream: kernel.stream,
+                        kernel_index: kernel.kernel_index,
                         tag: cta.tag,
                         sm: cta.sm,
                         start_ns: cta.start.as_ns_f64(),
@@ -521,9 +528,51 @@ impl Engine {
     }
 
     /// Max-min fair sharing of `budget` bytes/ns among loading CTAs, each
-    /// capped at its own `rate_cap`. `loaders` is caller-owned scratch so the
+    /// capped at its own `rate_cap`. `caps` is caller-owned scratch so the
     /// per-event call does not allocate.
-    fn waterfill(running: &mut [RunningCta], budget: f64, loaders: &mut Vec<usize>) {
+    ///
+    /// Loaders are served in ascending-cap order, ties in `running` order:
+    /// the order of a stable sort by cap, reached without one. The distinct
+    /// caps are few (one per tile shape), so they are ranked on their own
+    /// and each gets one pass over `running`. Every loader then sees the
+    /// same `fair` share, and the floats run in the same sequence, as under
+    /// the sort.
+    fn waterfill(running: &mut [RunningCta], budget: f64, caps: &mut Vec<f64>) {
+        caps.clear();
+        let mut loaders = 0usize;
+        let mut last_cap = None;
+        for cta in running.iter_mut() {
+            if cta.remaining > EPS {
+                cta.rate = 0.0;
+                loaders += 1;
+                // Equal bits are equal under `total_cmp`, the sort's order.
+                let cap = cta.rate_cap.to_bits();
+                if last_cap != Some(cap) && !caps.iter().any(|c| c.to_bits() == cap) {
+                    caps.push(cta.rate_cap);
+                }
+                last_cap = Some(cap);
+            }
+        }
+        caps.sort_unstable_by(f64::total_cmp);
+        let mut remaining_budget = budget;
+        let mut remaining_n = loaders;
+        for &cap in caps.iter() {
+            for cta in running.iter_mut() {
+                if cta.remaining > EPS && cta.rate_cap.to_bits() == cap.to_bits() {
+                    let fair = remaining_budget / remaining_n as f64;
+                    let rate = cta.rate_cap.min(fair);
+                    cta.rate = rate;
+                    remaining_budget -= rate;
+                    remaining_n -= 1;
+                }
+            }
+        }
+    }
+
+    /// The stable-sort waterfill that [`Engine::waterfill`] replaced, kept
+    /// as its bit-exactness oracle.
+    #[cfg(test)]
+    fn waterfill_sorted(running: &mut [RunningCta], budget: f64, loaders: &mut Vec<usize>) {
         loaders.clear();
         // Track whether the cap sequence is already non-decreasing while
         // collecting; plans overwhelmingly run homogeneous tiles (equal
@@ -556,6 +605,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_res() -> CtaResources {
         CtaResources {
@@ -794,5 +844,81 @@ mod tests {
         let long = r.trace.ctas.iter().find(|c| c.tag == 999).unwrap();
         assert!((long.end_ns - r.total_ns).abs() < 1.0, "long CTA ends last");
         assert!(r.bandwidth_utilization < 0.6, "tail leaves the bus idle");
+    }
+
+    #[test]
+    fn first_fit_packs_each_sm_before_the_next() {
+        // A (100 KiB) fits once per 192 KiB SM and dispatches first (larger
+        // footprint); B (32 KiB) then fits twice into each SM's 92 KiB left.
+        let kernel = |smem_kb: usize, n: u64| KernelSpec {
+            label: format!("k{smem_kb}"),
+            resources: CtaResources {
+                smem_bytes: smem_kb * 1024,
+                ..small_res()
+            },
+            ctas: (0..n)
+                .map(|tag| CtaWork {
+                    tag,
+                    min_exec_ns: 1.0e6,
+                    ..work(1.0e3)
+                })
+                .collect(),
+        };
+        let r = engine()
+            .run(vec![
+                StreamSpec {
+                    kernels: vec![kernel(100, 3)],
+                },
+                StreamSpec {
+                    kernels: vec![kernel(32, 4)],
+                },
+            ])
+            .unwrap();
+        let mut placed: Vec<(usize, u64, usize)> = r
+            .trace
+            .ctas
+            .iter()
+            .map(|c| (c.stream, c.tag, c.sm))
+            .collect();
+        placed.sort_unstable();
+        let sms: Vec<usize> = placed.iter().map(|&(_, _, sm)| sm).collect();
+        assert_eq!(sms, [0, 1, 2, 0, 0, 1, 1]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sort-free waterfill assigns every CTA the bit-identical rate
+        /// the stable sort did: 1–300 CTAs over 1–4 interleaved caps, some
+        /// already drained (they keep their previous rate).
+        #[test]
+        fn waterfill_matches_the_stable_sort(
+            caps in prop::collection::vec(1.0f64..400.0, 1..5),
+            ctas in prop::collection::vec((0usize..4, 0u8..4, 0.0f64..300.0), 1..301),
+            budget in 50.0f64..3000.0,
+        ) {
+            let running = || -> Vec<RunningCta> {
+                ctas.iter()
+                    .map(|&(cap, drained, prev_rate)| RunningCta {
+                        sm: 0,
+                        active_kernel: 0,
+                        tag: 0,
+                        start: SimTime::ZERO,
+                        remaining: if drained == 0 { EPS } else { 1.0e6 },
+                        rate_cap: caps[cap % caps.len()],
+                        floor_end: SimTime::ZERO,
+                        tail: SimDuration::ZERO,
+                        tail_applied: false,
+                        rate: prev_rate,
+                    })
+                    .collect()
+            };
+            let (mut fast, mut sorted) = (running(), running());
+            Engine::waterfill(&mut fast, budget, &mut Vec::new());
+            Engine::waterfill_sorted(&mut sorted, budget, &mut Vec::new());
+            for (i, (a, b)) in fast.iter().zip(&sorted).enumerate() {
+                prop_assert_eq!(a.rate.to_bits(), b.rate.to_bits(), "cta {}", i);
+            }
+        }
     }
 }

@@ -8,8 +8,9 @@ use std::fmt::Write as _;
 pub struct CtaSpan {
     /// Stream the CTA's kernel was launched on.
     pub stream: usize,
-    /// Label of the owning kernel.
-    pub kernel: String,
+    /// Position of the owning kernel within its stream: the
+    /// [`KernelSpan::kernel_index`] of its span.
+    pub kernel_index: usize,
     /// Caller-provided correlation id.
     pub tag: u64,
     /// SM the CTA executed on.
@@ -47,6 +48,13 @@ pub struct ExecutionTrace {
 }
 
 impl ExecutionTrace {
+    /// The span of the kernel that ran `cta`.
+    pub fn kernel_of(&self, cta: &CtaSpan) -> Option<&KernelSpan> {
+        self.kernels
+            .iter()
+            .find(|k| k.stream == cta.stream && k.kernel_index == cta.kernel_index)
+    }
+
     /// Makespan of the trace in ns.
     pub fn makespan_ns(&self) -> f64 {
         self.ctas.iter().map(|c| c.end_ns).fold(0.0, f64::max)
@@ -112,7 +120,7 @@ mod tests {
     fn span(sm: usize, start: f64, end: f64, stream: usize) -> CtaSpan {
         CtaSpan {
             stream,
-            kernel: "k".into(),
+            kernel_index: 0,
             tag: 0,
             sm,
             start_ns: start,
